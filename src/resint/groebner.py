@@ -4,20 +4,39 @@ The engine works on integer-coefficient term lists (denominators cleared,
 content stripped) so the hot reduction loop never touches Fractions; exact
 rational results are recovered by tracking the accumulated scale.  Reduced
 bases are unique per (ideal, monomial order) and cached on the ideal.
+
+Inside the engine a monomial is one packed int.  Its 16-bit fields hold, from
+high to low, the order's weight rows, the exponents and the total degree.
+Lex, grevlex and the block elimination order all rank monomials by 0/1 weight
+rows (the identity for lex, prefix sums for each grevlex block), so comparing
+packed ints compares monomials and the reduction heap holds negated ints.
+Multiplying and dividing monomials is adding and subtracting ints, and a
+divides b exactly when ``b - a`` borrows from no guard bit (the top bit of
+each exponent and degree field).  Every field must stay below 2**15.  The
+total degree bounds every field, so an input monomial, reduction product or
+S-polynomial lcm of degree 2**15 or more raises ``GroebnerError`` naming the
+limit instead of wrapping.  Public polynomials keep exponent tuples: terms are
+packed on entry (``_epoly``, ``normal_form``) and unpacked on exit
+(``_int_terms_to_poly``).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
 import os
+import struct
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .parser import parse_poly
 from .poly import (
     BlockElim,
+    GrevLex,
+    Lex,
     Polynomial,
     PolyError,
     Ring,
@@ -83,6 +102,83 @@ class _State:
             raise BudgetExceededError("reduction-step budget exceeded")
 
 
+# -- packed monomials -----------------------------------------------------
+
+# Exclusive bound on the total degree of any engine monomial; it keeps the
+# top bit of every 16-bit field clear.
+DEGREE_LIMIT = 1 << 15
+_DEGREE = (1 << 16) - 1  # the total-degree field, lowest in every layout
+
+
+def _degree_error(degree):
+    return GroebnerError(
+        f"monomial of total degree {degree} exceeds the engine limit of "
+        f"{DEGREE_LIMIT - 1}"
+    )
+
+
+def _grevlex_rows(m):
+    # deg, deg - e_n, deg - e_n - e_{n-1}, ..., e_1: the prefix sums, reversed.
+    rows = list(accumulate(m))
+    rows.reverse()
+    return rows
+
+
+class _Packer:
+    """Packs exponent tuples of one arity into ints ranked like one order."""
+
+    __slots__ = ("n", "rows", "codec", "guard", "exps")
+
+    def __init__(self, order, n):
+        if isinstance(order, Lex):
+            self.rows = tuple
+        elif isinstance(order, GrevLex):
+            self.rows = _grevlex_rows
+        elif isinstance(order, BlockElim):
+            k = order.front
+            self.rows = lambda m: _grevlex_rows(m[:k]) + _grevlex_rows(m[k:])
+        else:
+            raise GroebnerError(f"the engine cannot pack the {order.tag} order")
+        self.n = n
+        # n weight rows, n exponents, the degree; big-endian, highest first.
+        self.codec = struct.Struct(f">{2 * n + 1}H")
+
+        def fields(word, last):
+            return int.from_bytes(word * n + last, "big")
+
+        # Guard bits of the exponent and degree fields: a | b iff not
+        # (b - a) & guard.  The exponent fields alone (weights and degree
+        # zero) carry the pair lcms of the Buchberger loop.
+        self.guard = fields(b"\x80\x00", b"\x80\x00")
+        self.exps = fields(b"\x7f\xff", b"\x00\x00")
+
+    def enc(self, m):
+        degree = sum(m)
+        if degree >= DEGREE_LIMIT:
+            raise _degree_error(degree)
+        try:
+            return int.from_bytes(self.codec.pack(*self.rows(m), *m, degree), "big")
+        except struct.error:
+            raise GroebnerError(f"negative exponent in {m!r}") from None
+
+    def dec(self, x):
+        n = self.n
+        return self.codec.unpack(x.to_bytes(self.codec.size, "big"))[n : 2 * n]
+
+    def lcm_exps(self, a, b):
+        """Exponent fields of lcm(a, b), with weights and degree left zero."""
+        a &= self.exps
+        b &= self.exps
+        h = self.guard
+        ge = ((a | h) - b) & h  # guard bit set where a's field >= b's
+        return b ^ ((a ^ b) & (ge - (ge >> 15)))
+
+
+@functools.lru_cache(maxsize=64)
+def _packer(order, n):
+    return _Packer(order, n)
+
+
 # -- engine polynomials -------------------------------------------------
 
 
@@ -108,46 +204,40 @@ def _primitive(items):
 
 
 class _EPoly:
-    """Engine polynomial: integer terms sorted descending under one order."""
+    """Engine polynomial: packed integer terms sorted descending."""
 
-    __slots__ = ("mons", "coeffs", "lm", "lc", "mask")
+    __slots__ = ("mons", "coeffs", "lm", "lc", "maxdeg")
 
     def __init__(self, items):
         self.mons = [m for m, _ in items]
         self.coeffs = [c for _, c in items]
         self.lm = self.mons[0]
         self.lc = self.coeffs[0]
-        self.mask = _mask(self.lm)
+        self.maxdeg = max(m & _DEGREE for m in self.mons)
 
     def items(self):
         return list(zip(self.mons, self.coeffs))
 
 
-def _mask(m):
-    b = 0
-    for i, e in enumerate(m):
-        if e:
-            b |= 1 << i
-    return b
-
-
-def _poly_to_int_terms(p):
+def _int_terms(p, packer):
+    """(den, packed integer terms of den * p), den the lcm of denominators."""
     den = 1
     for _, c in p.terms:
         d = c.denominator
         den = den * d // gcd(den, d)
-    return [(m, int(c * den)) for m, c in p.terms]
+    enc = packer.enc
+    return den, [(enc(m), int(c * den)) for m, c in p.terms]
 
 
-def _epoly(p, order):
-    items = _poly_to_int_terms(p)
-    key = order.key
-    items.sort(key=lambda t: key(t[0]), reverse=True)
+def _epoly(p, packer):
+    _, items = _int_terms(p, packer)
+    items.sort(reverse=True)
     return _EPoly(_primitive(items))
 
 
-def _int_terms_to_poly(items, ring, denom=1):
-    return Polynomial(ring, {m: Fraction(c, denom) for m, c in items})
+def _int_terms_to_poly(items, ring, packer, denom=1):
+    dec = packer.dec
+    return Polynomial(ring, {dec(m): Fraction(c, denom) for m, c in items})
 
 
 # -- normal form --------------------------------------------------------
@@ -155,13 +245,12 @@ def _int_terms_to_poly(items, ring, denom=1):
 _STRIP_BITS = 1024
 
 
-def _nf(terms, basis, order, state):
-    """Full normal form of the integer term list vs `basis`.
+def _nf(terms, basis, guard, state):
+    """Full normal form of the packed integer term list vs `basis`.
 
     Returns (remainder items sorted descending, scale) such that
     scale * input == combination of basis + remainder, scale > 0.
     """
-    key = order.key
     work = {}
     for m, c in terms:
         v = work.get(m)
@@ -170,30 +259,25 @@ def _nf(terms, basis, order, state):
             work[m] = v
         else:
             work.pop(m, None)
-    heap = [(tuple(-x for x in key(m)), m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
     rem = {}
     scale = 1
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        mask = _mask(m)
-        red = None
-        for g in basis:
-            if not (g.mask & ~mask):
-                glm = g.lm
-                for a, b in zip(glm, m):
-                    if a > b:
-                        break
-                else:
-                    red = g
-                    break
-        if red is None:
+        for red in basis:
+            if not (m - red.lm) & guard:
+                break
+        else:
             rem[m] = c
             continue
         state.step()
+        shift = m - red.lm
+        if (shift & _DEGREE) + red.maxdeg >= DEGREE_LIMIT:
+            raise _degree_error((shift & _DEGREE) + red.maxdeg)
         lc = red.lc
         if lc != 1:
             scale *= lc
@@ -201,57 +285,43 @@ def _nf(terms, basis, order, state):
                 work[k] *= lc
             for k in rem:
                 rem[k] *= lc
-        shift = tuple(a - b for a, b in zip(m, red.lm))
         gmons = red.mons
         gcoeffs = red.coeffs
-        if any(shift):
-            for idx in range(1, len(gmons)):
-                nm = tuple(a + b for a, b in zip(shift, gmons[idx]))
-                v = work.get(nm)
-                if v is None:
-                    work[nm] = -c * gcoeffs[idx]
-                    heapq.heappush(heap, (tuple(-x for x in key(nm)), nm))
+        for idx in range(1, len(gmons)):
+            nm = shift + gmons[idx]
+            v = work.get(nm)
+            if v is None:
+                work[nm] = -c * gcoeffs[idx]
+                heapq.heappush(heap, -nm)
+            else:
+                v -= c * gcoeffs[idx]
+                if v:
+                    work[nm] = v
                 else:
-                    v -= c * gcoeffs[idx]
-                    if v:
-                        work[nm] = v
-                    else:
-                        del work[nm]
-        else:
-            for idx in range(1, len(gmons)):
-                nm = gmons[idx]
-                v = work.get(nm)
-                if v is None:
-                    work[nm] = -c * gcoeffs[idx]
-                    heapq.heappush(heap, (tuple(-x for x in key(nm)), nm))
-                else:
-                    v -= c * gcoeffs[idx]
-                    if v:
-                        work[nm] = v
-                    else:
-                        del work[nm]
+                    del work[nm]
         if scale.bit_length() > _STRIP_BITS:
             g0 = _content(list(work.values()) + list(rem.values()) + [scale])
             if g0 > 1:
                 work = {k: v // g0 for k, v in work.items()}
                 rem = {k: v // g0 for k, v in rem.items()}
                 scale //= g0
-    out = sorted(rem.items(), key=lambda t: key(t[0]), reverse=True)
-    return out, scale
+    return sorted(rem.items(), reverse=True), scale
 
 
-def _spoly_terms(f, g):
-    l = mon_lcm(f.lm, g.lm)
+def _spoly_terms(f, g, lcm):
+    sf = lcm - f.lm
+    sg = lcm - g.lm
+    for shift, p in ((sf, f), (sg, g)):
+        if (shift & _DEGREE) + p.maxdeg >= DEGREE_LIMIT:
+            raise _degree_error((shift & _DEGREE) + p.maxdeg)
     d = gcd(f.lc, g.lc)
     cf, cg = g.lc // d, f.lc // d
-    sf = mon_div(l, f.lm)
-    sg = mon_div(l, g.lm)
     acc = {}
     for m, c in zip(f.mons, f.coeffs):
-        nm = mon_mul(sf, m)
+        nm = sf + m
         acc[nm] = acc.get(nm, 0) + cf * c
     for m, c in zip(g.mons, g.coeffs):
-        nm = mon_mul(sg, m)
+        nm = sg + m
         v = acc.get(nm, 0) - cg * c
         if v:
             acc[nm] = v
@@ -263,14 +333,18 @@ def _spoly_terms(f, g):
 # -- Buchberger ----------------------------------------------------------
 
 
-def _buchberger(inputs, order, state):
+def _buchberger(inputs, packer, state):
     """Return a (not yet reduced) Groebner basis of the input _EPolys.
 
     Pair handling follows Gebauer-Moeller: Buchberger's coprimality and
     chain criteria applied on every insertion, selection by degree then
-    order of the pair lcm (normal strategy).
+    order of the pair lcm (normal strategy).  The criteria compare pair
+    lcms by their exponent fields alone; a kept pair also carries its
+    packed lcm, which ranks it in the queue.
     """
-    key = order.key
+    guard = packer.guard
+    exps = packer.exps
+    lcm_exps = packer.lcm_exps
     G = []
     P = []
     seq = 0
@@ -278,65 +352,60 @@ def _buchberger(inputs, order, state):
     def update(h):
         nonlocal P, seq
         hlm = h.lm
-        C = [(mon_lcm(hlm, g.lm), g) for g in G]
+        hexp = hlm & exps
+        C = [(lcm_exps(hlm, g.lm), g) for g in G]
         D = []
         while C:
             lcm_hg, g1 = C.pop()
-            if lcm_hg == mon_mul(hlm, g1.lm) or (
-                not any(mon_divides(l2, lcm_hg) and l2 != lcm_hg for l2, _ in C)
-                and not any(mon_divides(l2, lcm_hg) and l2 != lcm_hg for l2, _ in D)
+            if lcm_hg == hexp + (g1.lm & exps) or (
+                not any(l2 != lcm_hg and not (lcm_hg - l2) & guard for l2, _ in C)
+                and not any(l2 != lcm_hg and not (lcm_hg - l2) & guard for l2, _ in D)
             ):
                 D.append((lcm_hg, g1))
         keep = []
         for entry in P:
             l = entry[5]
-            f1, f2 = entry[3], entry[4]
             if (
-                not mon_divides(hlm, l)
-                or mon_lcm(f1.lm, hlm) == l
-                or mon_lcm(f2.lm, hlm) == l
+                (l - hexp) & guard
+                or lcm_exps(entry[3].lm, hlm) == l
+                or lcm_exps(entry[4].lm, hlm) == l
             ):
                 keep.append(entry)
         for l, g in D:
-            if l != mon_mul(hlm, g.lm):
+            if l != hexp + (g.lm & exps):
                 seq += 1
-                keep.append((sum(l), key(l), seq, g, h, l))
+                packed = packer.enc(packer.dec(l))
+                keep.append((packed & _DEGREE, packed, seq, g, h, l))
         P = keep
         if len(P) > state.max_pairs:
             raise BudgetExceededError("pair-queue cap exceeded")
         G.append(h)
 
     for p in inputs:
-        r, _ = _nf(p.items(), G, order, state)
+        r, _ = _nf(p.items(), G, guard, state)
         if r:
             update(_EPoly(_primitive(r)))
     while P:
-        best_i = 0
-        best = P[0]
-        for i in range(1, len(P)):
-            if P[i][:3] < best[:3]:
-                best = P[i]
-                best_i = i
-        P.pop(best_i)
-        f, g = best[3], best[4]
-        r, _ = _nf(_spoly_terms(f, g), G, order, state)
+        # (degree, packed lcm, seq) is unique, so min never compares _EPolys.
+        best = min(P)
+        P.remove(best)
+        r, _ = _nf(_spoly_terms(best[3], best[4], best[1]), G, guard, state)
         if r:
             update(_EPoly(_primitive(r)))
     return G
 
 
-def _reduce_basis(G, order, state):
+def _reduce_basis(G, guard, state):
     """Minimalize and tail-reduce into the unique reduced basis (ascending)."""
-    key = order.key
-    Gs = sorted(G, key=lambda g: key(g.lm))
+    Gs = sorted(G, key=lambda g: g.lm)
     kept = []
     for g in Gs:
-        if not any(mon_divides(h.lm, g.lm) for h in kept):
+        if all((g.lm - h.lm) & guard for h in kept):
             kept.append(g)
     out = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        r, _ = _nf(g.items(), others, order, state)
+        r, _ = _nf(g.items(), others, guard, state)
         out.append(_EPoly(_primitive(r)))
     return out
 
@@ -354,7 +423,8 @@ class GroebnerBasis:
 
     def engine(self):
         if self._engine is None:
-            self._engine = [_epoly(p, self.order) for p in self.elements]
+            packer = _packer(self.order, self.ring.arity)
+            self._engine = [_epoly(p, packer) for p in self.elements]
         return self._engine
 
     @property
@@ -453,12 +523,13 @@ def groebner_basis(ideal, order=None):
             ideal._gb[order] = gb
             return gb
     state = _State()
-    inputs = [_epoly(g, order) for g in ideal.generators]
-    raw = _buchberger(inputs, order, state)
-    reduced = _reduce_basis(raw, order, state)
-    elements = []
-    for e in reduced:
-        elements.append(_int_terms_to_poly(e.items(), ideal.ring, denom=e.lc))
+    packer = _packer(order, ideal.ring.arity)
+    inputs = [_epoly(g, packer) for g in ideal.generators]
+    raw = _buchberger(inputs, packer, state)
+    reduced = _reduce_basis(raw, packer.guard, state)
+    elements = [
+        _int_terms_to_poly(e.items(), ideal.ring, packer, denom=e.lc) for e in reduced
+    ]
     gb = GroebnerBasis(ideal.ring, order, elements)
     ideal._gb[order] = gb
     if path is not None:
@@ -471,7 +542,7 @@ def normal_form(f, basis, order=None):
     if isinstance(basis, GroebnerBasis):
         if f.ring != basis.ring:
             raise RingMismatchError("polynomial and basis from different rings")
-        order = basis.order
+        packer = _packer(basis.order, basis.ring.arity)
         engine = basis.engine()
         ring = basis.ring
     else:
@@ -481,17 +552,13 @@ def normal_form(f, basis, order=None):
         ring = basis[0].ring
         if f.ring != ring or any(b.ring != ring for b in basis):
             raise RingMismatchError("polynomial and basis from different rings")
-        order = order if order is not None else ring.order
-        engine = [_epoly(b, order) for b in basis]
+        packer = _packer(order if order is not None else ring.order, ring.arity)
+        engine = [_epoly(b, packer) for b in basis]
     if f.is_zero():
         return f
-    state = _State()
-    num = 1
-    for _, c in f.terms:
-        num = num * c.denominator // gcd(num, c.denominator)
-    items = [(m, int(c * num)) for m, c in f.terms]
-    rem, scale = _nf(items, engine, order, state)
-    return _int_terms_to_poly(rem, ring, denom=num * scale)
+    num, items = _int_terms(f, packer)
+    rem, scale = _nf(items, engine, packer.guard, _State())
+    return _int_terms_to_poly(rem, ring, packer, denom=num * scale)
 
 
 def is_member(f, ideal, order=None):

@@ -122,6 +122,8 @@ _ARITY = {
     "ideal_equals": 2,
 }
 
+_CHECK_KEYS = {"kind", "args", "name", "expect", "mode"}
+
 
 def load_scenario(data, name="scenario"):
     """Build a Scenario from a parsed JSON object (or a path via load_scenario_file)."""
@@ -154,33 +156,39 @@ def load_scenario(data, name="scenario"):
         ideals[iname] = Ideal(ring, gens)
     checks = []
     for i, spec in enumerate(data.get("checks", []), 1):
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"check {i}: expected an object, got {spec!r}")
         kind = spec.get("kind")
+        cname = spec.get("name", f"check-{i}-{kind}")
+        where = f"check {i} ({cname!r})"
+        unknown = sorted(set(spec) - _CHECK_KEYS)
+        if unknown:
+            raise ScenarioError(f"{where}: unknown keys {unknown!r}")
         if kind not in CHECK_KINDS:
-            raise ScenarioError(f"check {i}: unknown kind {kind!r}")
+            raise ScenarioError(f"{where}: unknown kind {kind!r}")
         args = spec.get("args", [])
+        if not isinstance(args, list):
+            raise ScenarioError(f"{where}: args must be a list, got {args!r}")
         if len(args) != _ARITY[kind]:
             raise ScenarioError(
-                f"check {i}: {kind} takes {_ARITY[kind]} arguments, got {len(args)}"
+                f"{where}: {kind} takes {_ARITY[kind]} arguments, got {len(args)}"
             )
-        ideal_args = args[:-1] if kind in ("residual_intersection", "codim_equals", "mu_equals") else args
-        for a in ideal_args:
-            if a not in ideals:
-                raise ScenarioError(f"check {i}: undefined ideal {a!r}")
+        int_last = kind in ("residual_intersection", "codim_equals", "mu_equals")
+        for a in args[:-1] if int_last else args:
+            if not isinstance(a, str) or a not in ideals:
+                raise ScenarioError(f"{where}: undefined ideal {a!r}")
         last = args[-1]
-        if kind in ("residual_intersection", "codim_equals", "mu_equals") and not isinstance(last, int):
-            raise ScenarioError(f"check {i}: {kind} needs an integer last argument")
-        cname = spec.get("name", f"check-{i}-{kind}")
-        checks.append(
-            Check(
-                cname,
-                kind,
-                tuple(args),
-                expect=bool(spec.get("expect", True)),
-                containment_only=spec.get("mode") == "containment-only",
-            )
-        )
-        if checks[-1].containment_only and kind not in ("colon_equals", "residual_intersection"):
-            raise ScenarioError(f"check {i}: containment-only applies to colon checks")
+        if int_last and (isinstance(last, bool) or not isinstance(last, int)):
+            raise ScenarioError(f"{where}: {kind} needs an integer last argument, got {last!r}")
+        expect = spec.get("expect", True)
+        if not isinstance(expect, bool):
+            raise ScenarioError(f"{where}: expect must be true or false, got {expect!r}")
+        containment_only = "mode" in spec
+        if containment_only and spec["mode"] != "containment-only":
+            raise ScenarioError(f"{where}: unknown mode {spec['mode']!r}")
+        if containment_only and kind not in ("colon_equals", "residual_intersection"):
+            raise ScenarioError(f"{where}: containment-only applies to colon checks")
+        checks.append(Check(cname, kind, tuple(args), expect, containment_only))
     return Scenario(data.get("name", name), ring, polys, ideals, tuple(checks))
 
 

@@ -1,6 +1,7 @@
 """Scenario loading, check semantics, and report shape."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -12,6 +13,7 @@ from resint.verify import (
     check_link,
     check_residual_intersection,
     load_scenario,
+    load_scenario_file,
     run_scenario,
 )
 
@@ -182,3 +184,45 @@ def test_report_json_shape():
     assert set(data) == {"format", "scenario", "checks", "summary"}
     for entry in data["checks"]:
         assert set(entry) == {"name", "kind", "verdict", "values", "millis"}
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ({"kind": "ideal_equals", "args": ["X", "Y"], "expect": "false"}, "expect"),
+        ({"kind": "ideal_equals", "args": ["X", "Y"], "expect": 0}, "expect"),
+        ({"kind": "codim_equals", "args": ["X", True]}, "integer"),
+        ({"kind": "mu_equals", "args": ["X", "1"]}, "integer"),
+        ({"kind": "residual_intersection", "args": ["a", "X", "Y", False]}, "integer"),
+        ({"kind": "colon_equals", "args": ["a", "X", "Y"], "mode": "containment"}, "mode"),
+        ({"kind": "colon_equals", "args": ["a", "X", "Y"], "mode": None}, "mode"),
+        ({"kind": "colon_equals", "args": ["a", "X", "Y"], "expected": False}, "expected"),
+        ({"kind": "colon_equals", "args": "aXY"}, "list"),
+        ({"kind": "colon_equals", "args": [["a"], "X", "Y"]}, "undefined ideal"),
+    ],
+    ids=[
+        "expect-string",
+        "expect-int",
+        "codim-bool",
+        "mu-string",
+        "residual-bool",
+        "mode-misspelled",
+        "mode-null",
+        "unknown-key",
+        "args-string",
+        "args-unhashable",
+    ],
+)
+def test_strict_check_schema_names_the_check(check, message):
+    bad = dict(SCENARIO, checks=[dict(check, name="the-check")])
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(bad)
+    assert "the-check" in str(exc.value)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("name, count, partial", [("e6", 12, False), ("e7", 2, True)])
+def test_bundled_scenarios_pass_strict_schema(name, count, partial):
+    sc = load_scenario_file(resources.files("resint.data") / f"{name}.scenario.json")
+    assert len(sc.checks) == count
+    assert all(c.expect is True and c.containment_only is partial for c in sc.checks)
