@@ -90,16 +90,27 @@ def get_budget():
 
 
 class _State:
-    __slots__ = ("steps_left", "max_pairs")
+    __slots__ = ("arity", "max_reductions", "steps_left", "max_pairs")
 
-    def __init__(self):
-        self.steps_left = _budget["max_reductions"]
+    def __init__(self, arity):
+        self.arity = arity
+        self.max_reductions = self.steps_left = _budget["max_reductions"]
         self.max_pairs = _budget["max_pairs"]
 
     def step(self):
         self.steps_left -= 1
         if self.steps_left < 0:
-            raise BudgetExceededError("reduction-step budget exceeded")
+            raise BudgetExceededError(
+                f"reduction-step budget of {self.max_reductions} exceeded "
+                f"in a {self.arity}-variable ring"
+            )
+
+    def check_pairs(self, count):
+        if count > self.max_pairs:
+            raise BudgetExceededError(
+                f"pair-queue cap of {self.max_pairs} exceeded "
+                f"in a {self.arity}-variable ring"
+            )
 
 
 # -- packed monomials -----------------------------------------------------
@@ -204,16 +215,22 @@ def _primitive(items):
 
 
 class _EPoly:
-    """Engine polynomial: packed integer terms sorted descending."""
+    """Engine polynomial: packed integer terms sorted descending.
 
-    __slots__ = ("mons", "coeffs", "lm", "lc", "maxdeg")
+    ``sugar`` is the degree the polynomial would have if the computation were
+    homogenized: at least its own maximal degree, and for a reduced
+    S-polynomial at least the sugar of its pair.
+    """
 
-    def __init__(self, items):
+    __slots__ = ("mons", "coeffs", "lm", "lc", "maxdeg", "sugar")
+
+    def __init__(self, items, sugar=0):
         self.mons = [m for m, _ in items]
         self.coeffs = [c for _, c in items]
         self.lm = self.mons[0]
         self.lc = self.coeffs[0]
         self.maxdeg = max(m & _DEGREE for m in self.mons)
+        self.sugar = max(sugar, self.maxdeg)
 
     def items(self):
         return list(zip(self.mons, self.coeffs))
@@ -336,11 +353,14 @@ def _spoly_terms(f, g, lcm):
 def _buchberger(inputs, packer, state):
     """Return a (not yet reduced) Groebner basis of the input _EPolys.
 
-    Pair handling follows Gebauer-Moeller: Buchberger's coprimality and
-    chain criteria applied on every insertion, selection by degree then
-    order of the pair lcm (normal strategy).  The criteria compare pair
-    lcms by their exponent fields alone; a kept pair also carries its
-    packed lcm, which ranks it in the queue.
+    Pairs are updated as in Gebauer-Moeller (Becker-Weispfenning's UPDATE).
+    The new pairs (h, g) are grouped by lcm: a group holding a coprime pair
+    yields nothing, and otherwise its first g yields one pair, provided no
+    other new lcm properly divides it.  An old pair goes when lm(h) divides
+    its lcm and neither of its lcms with h equals it.  The queue is a heap
+    ordered by (sugar, packed lcm, seq): sugar selection (Giovini et al.).
+    The criteria compare lcms by their exponent fields alone, which rank
+    monomials lex, so a proper divisor is always a smaller int.
     """
     guard = packer.guard
     exps = packer.exps
@@ -353,45 +373,53 @@ def _buchberger(inputs, packer, state):
         nonlocal P, seq
         hlm = h.lm
         hexp = hlm & exps
-        C = [(lcm_exps(hlm, g.lm), g) for g in G]
-        D = []
-        while C:
-            lcm_hg, g1 = C.pop()
-            if lcm_hg == hexp + (g1.lm & exps) or (
-                not any(l2 != lcm_hg and not (lcm_hg - l2) & guard for l2, _ in C)
-                and not any(l2 != lcm_hg and not (lcm_hg - l2) & guard for l2, _ in D)
-            ):
-                D.append((lcm_hg, g1))
-        keep = []
-        for entry in P:
-            l = entry[5]
-            if (
-                (l - hexp) & guard
-                or lcm_exps(entry[3].lm, hlm) == l
-                or lcm_exps(entry[4].lm, hlm) == l
-            ):
-                keep.append(entry)
-        for l, g in D:
-            if l != hexp + (g.lm & exps):
-                seq += 1
-                packed = packer.enc(packer.dec(l))
-                keep.append((packed & _DEGREE, packed, seq, g, h, l))
-        P = keep
-        if len(P) > state.max_pairs:
-            raise BudgetExceededError("pair-queue cap exceeded")
+        first = {}
+        coprime = set()
+        for g in G:
+            l = lcm_exps(hlm, g.lm)
+            first.setdefault(l, g)
+            if l == hexp + (g.lm & exps):
+                coprime.add(l)
+        P = [
+            entry
+            for entry in P
+            if (entry[5] - hexp) & guard
+            or lcm_exps(entry[3].lm, hlm) == entry[5]
+            or lcm_exps(entry[4].lm, hlm) == entry[5]
+        ]
+        # A proper divisor is a smaller int, so in ascending order l is
+        # minimal iff no minimal lcm found before it divides it.
+        minimal = []
+        for l in sorted(first):
+            for m in minimal:
+                if not (l - m) & guard:
+                    break
+            else:
+                minimal.append(l)
+                if l not in coprime:
+                    g = first[l]
+                    packed = packer.enc(packer.dec(l))
+                    deg = packed & _DEGREE
+                    sugar = max(
+                        h.sugar + deg - (hlm & _DEGREE),
+                        g.sugar + deg - (g.lm & _DEGREE),
+                    )
+                    seq += 1
+                    P.append((sugar, packed, seq, g, h, l))
+        heapq.heapify(P)
+        state.check_pairs(len(P))
         G.append(h)
 
     for p in inputs:
         r, _ = _nf(p.items(), G, guard, state)
         if r:
-            update(_EPoly(_primitive(r)))
+            update(_EPoly(_primitive(r), p.sugar))
     while P:
-        # (degree, packed lcm, seq) is unique, so min never compares _EPolys.
-        best = min(P)
-        P.remove(best)
-        r, _ = _nf(_spoly_terms(best[3], best[4], best[1]), G, guard, state)
+        # (sugar, packed lcm, seq) is unique, so the heap never compares _EPolys.
+        sugar, lcm, _, f, g, _ = heapq.heappop(P)
+        r, _ = _nf(_spoly_terms(f, g, lcm), G, guard, state)
         if r:
-            update(_EPoly(_primitive(r)))
+            update(_EPoly(_primitive(r), sugar))
     return G
 
 
@@ -522,7 +550,7 @@ def groebner_basis(ideal, order=None):
             gb = GroebnerBasis(ideal.ring, order, loaded)
             ideal._gb[order] = gb
             return gb
-    state = _State()
+    state = _State(ideal.ring.arity)
     packer = _packer(order, ideal.ring.arity)
     inputs = [_epoly(g, packer) for g in ideal.generators]
     raw = _buchberger(inputs, packer, state)
@@ -557,7 +585,7 @@ def normal_form(f, basis, order=None):
     if f.is_zero():
         return f
     num, items = _int_terms(f, packer)
-    rem, scale = _nf(items, engine, packer.guard, _State())
+    rem, scale = _nf(items, engine, packer.guard, _State(ring.arity))
     return _int_terms_to_poly(rem, ring, packer, denom=num * scale)
 
 

@@ -32,7 +32,7 @@ from resint import (
     quotient,
     set_budget,
 )
-from resint.groebner import certify_basis
+from resint.groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_REDUCTIONS, certify_basis
 from resint.poly import mon_div, mon_divides, mon_gcd, mon_lcm
 
 
@@ -354,3 +354,22 @@ def test_budget_exceeded_is_explicit():
             groebner_basis(I)
     finally:
         set_budget(max_reductions=50_000_000)
+
+
+@pytest.mark.parametrize(
+    "limit, message",
+    [
+        ({"max_pairs": 3}, "pair-queue cap of 3 exceeded in a 3-variable ring"),
+        ({"max_reductions": 3}, "reduction-step budget of 3 exceeded in a 3-variable ring"),
+    ],
+)
+def test_budget_error_names_limit_and_arity(limit, message):
+    R = Ring(["x", "y", "z"])
+    I = Ideal(R, ["x^4*y - z^3", "y^4 - x*z^2", "z^4 - x^3*y^2"])
+    set_budget(**limit)
+    try:
+        with pytest.raises(BudgetExceededError, match=message):
+            groebner_basis(I)
+    finally:
+        set_budget(max_reductions=DEFAULT_MAX_REDUCTIONS, max_pairs=DEFAULT_MAX_PAIRS)
+    assert_groebner_certificate(groebner_basis(I))
