@@ -5,47 +5,45 @@ content stripped) so the hot reduction loop never touches Fractions; exact
 rational results are recovered by tracking the accumulated scale.  Reduced
 bases are unique per (ideal, monomial order) and cached on the ideal.
 
-Inside the engine a monomial is one packed int.  Its 16-bit fields hold, from
-high to low, the order's weight rows, the exponents and the total degree.
-Lex, grevlex and the block elimination order all rank monomials by 0/1 weight
-rows (the identity for lex, prefix sums for each grevlex block), so comparing
-packed ints compares monomials and the reduction heap holds negated ints.
-Multiplying and dividing monomials is adding and subtracting ints, and a
-divides b exactly when ``b - a`` borrows from no guard bit (the top bit of
-each exponent and degree field).  Every field must stay below 2**15.  The
-total degree bounds every field, so an input monomial, reduction product or
-S-polynomial lcm of degree 2**15 or more raises ``GroebnerError`` naming the
-limit instead of wrapping.  Public polynomials keep exponent tuples: terms are
-packed on entry (``_epoly``, ``normal_form``) and unpacked on exit
-(``_int_terms_to_poly``).
+Inside the engine a monomial is the packed int of ``resint.poly`` at 16-bit
+fields: comparing ints compares monomials, the reduction heap holds negated
+ints, multiplying and dividing monomials is adding and subtracting ints, and
+a divides b exactly when ``b - a`` borrows from no guard bit.  A polynomial
+in the ring's order hands its keys to the engine as they are; only a basis in
+another order packs and sorts its inputs.  Results leave the same way: terms
+come out of the engine already descending, so a result in the ring's order
+becomes a ``Polynomial`` without a sort.  Every field must stay below 2**15.
+The total degree bounds every field, so an input monomial, reduction product
+or S-polynomial lcm of degree 2**15 or more raises ``GroebnerError`` naming
+the limit instead of wrapping.  A pair's packed lcm is lm(h) plus the packed
+image of the few nonzero exponent fields of lcm / lm(h), by linearity.
+
+``intersect`` builds its ``t``-ring inputs, and strips ``t`` from its outputs,
+in the order they already have when the block order restricts to the ring's
+order (a grevlex ring).  ``exact_divide`` divides on packed ints with a heap.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import heapq
 import json
 import os
-import struct
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd
 
 from .parser import parse_poly
 from .poly import (
     BlockElim,
     GrevLex,
-    Lex,
     Polynomial,
     PolyError,
     Ring,
     RingMismatchError,
     UnknownVariableError,
     mon_div,
-    mon_divides,
     mon_lcm,
-    mon_mul,
+    packer,
 )
 
 
@@ -115,10 +113,12 @@ class _State:
 
 # -- packed monomials -----------------------------------------------------
 
-# Exclusive bound on the total degree of any engine monomial; it keeps the
-# top bit of every 16-bit field clear.
-DEGREE_LIMIT = 1 << 15
-_DEGREE = (1 << 16) - 1  # the total-degree field, lowest in every layout
+# The engine packs at 16-bit fields.  DEGREE_LIMIT is the exclusive bound on
+# the total degree of any engine monomial; it keeps the top bit of every
+# field clear.
+_WIDTH = 16
+DEGREE_LIMIT = 1 << (_WIDTH - 1)
+_DEGREE = (1 << _WIDTH) - 1  # the total-degree field, lowest in every layout
 
 
 def _degree_error(degree):
@@ -126,68 +126,6 @@ def _degree_error(degree):
         f"monomial of total degree {degree} exceeds the engine limit of "
         f"{DEGREE_LIMIT - 1}"
     )
-
-
-def _grevlex_rows(m):
-    # deg, deg - e_n, deg - e_n - e_{n-1}, ..., e_1: the prefix sums, reversed.
-    rows = list(accumulate(m))
-    rows.reverse()
-    return rows
-
-
-class _Packer:
-    """Packs exponent tuples of one arity into ints ranked like one order."""
-
-    __slots__ = ("n", "rows", "codec", "guard", "exps")
-
-    def __init__(self, order, n):
-        if isinstance(order, Lex):
-            self.rows = tuple
-        elif isinstance(order, GrevLex):
-            self.rows = _grevlex_rows
-        elif isinstance(order, BlockElim):
-            k = order.front
-            self.rows = lambda m: _grevlex_rows(m[:k]) + _grevlex_rows(m[k:])
-        else:
-            raise GroebnerError(f"the engine cannot pack the {order.tag} order")
-        self.n = n
-        # n weight rows, n exponents, the degree; big-endian, highest first.
-        self.codec = struct.Struct(f">{2 * n + 1}H")
-
-        def fields(word, last):
-            return int.from_bytes(word * n + last, "big")
-
-        # Guard bits of the exponent and degree fields: a | b iff not
-        # (b - a) & guard.  The exponent fields alone (weights and degree
-        # zero) carry the pair lcms of the Buchberger loop.
-        self.guard = fields(b"\x80\x00", b"\x80\x00")
-        self.exps = fields(b"\x7f\xff", b"\x00\x00")
-
-    def enc(self, m):
-        degree = sum(m)
-        if degree >= DEGREE_LIMIT:
-            raise _degree_error(degree)
-        try:
-            return int.from_bytes(self.codec.pack(*self.rows(m), *m, degree), "big")
-        except struct.error:
-            raise GroebnerError(f"negative exponent in {m!r}") from None
-
-    def dec(self, x):
-        n = self.n
-        return self.codec.unpack(x.to_bytes(self.codec.size, "big"))[n : 2 * n]
-
-    def lcm_exps(self, a, b):
-        """Exponent fields of lcm(a, b), with weights and degree left zero."""
-        a &= self.exps
-        b &= self.exps
-        h = self.guard
-        ge = ((a | h) - b) & h  # guard bit set where a's field >= b's
-        return b ^ ((a ^ b) & (ge - (ge >> 15)))
-
-
-@functools.lru_cache(maxsize=64)
-def _packer(order, n):
-    return _Packer(order, n)
 
 
 # -- engine polynomials -------------------------------------------------
@@ -222,39 +160,43 @@ class _EPoly:
     S-polynomial at least the sugar of its pair.
     """
 
-    __slots__ = ("mons", "coeffs", "lm", "lc", "maxdeg", "sugar")
+    __slots__ = ("terms", "tail", "lm", "lc", "maxdeg", "sugar")
 
     def __init__(self, items, sugar=0):
-        self.mons = [m for m, _ in items]
-        self.coeffs = [c for _, c in items]
-        self.lm = self.mons[0]
-        self.lc = self.coeffs[0]
-        self.maxdeg = max(m & _DEGREE for m in self.mons)
+        self.terms = items
+        self.tail = items[1:]
+        self.lm, self.lc = items[0]
+        self.maxdeg = max(m & _DEGREE for m, _ in items)
         self.sugar = max(sugar, self.maxdeg)
 
-    def items(self):
-        return list(zip(self.mons, self.coeffs))
+
+def _int_terms(p, pk):
+    """(den, packed integer terms of den * p), den the lcm of denominators.
+
+    The terms keep p's order, which descends when pk ranks like p's ring.
+    """
+    if p._packer is not pk and p._packer.width > pk.width:
+        degree = p.total_degree()
+        if degree >= DEGREE_LIMIT:
+            raise _degree_error(degree)
+    den, numerators = p._cleared()
+    return den, list(zip(p._packed(pk), numerators))
 
 
-def _int_terms(p, packer):
-    """(den, packed integer terms of den * p), den the lcm of denominators."""
-    den = 1
-    for _, c in p.terms:
-        d = c.denominator
-        den = den * d // gcd(den, d)
-    enc = packer.enc
-    return den, [(enc(m), int(c * den)) for m, c in p.terms]
-
-
-def _epoly(p, packer):
-    _, items = _int_terms(p, packer)
-    items.sort(reverse=True)
+def _epoly(p, pk):
+    _, items = _int_terms(p, pk)
+    if pk.order != p.ring.order:
+        items.sort(reverse=True)
     return _EPoly(_primitive(items))
 
 
-def _int_terms_to_poly(items, ring, packer, denom=1):
-    dec = packer.dec
-    return Polynomial(ring, {dec(m): Fraction(c, denom) for m, c in items})
+def _int_terms_to_poly(items, ring, pk, denom=1):
+    """The polynomial of packed terms descending under pk, over denom."""
+    dec = pk.dec
+    terms = [(dec(m), Fraction(c, denom)) for m, c in items]
+    if pk.order == ring.order:
+        return Polynomial._sorted(ring, terms, [m for m, _ in items], pk)
+    return Polynomial(ring, dict(terms))
 
 
 # -- normal form --------------------------------------------------------
@@ -262,26 +204,20 @@ def _int_terms_to_poly(items, ring, packer, denom=1):
 _STRIP_BITS = 1024
 
 
-def _nf(terms, basis, guard, state):
-    """Full normal form of the packed integer term list vs `basis`.
+def _nf(work, basis, guard, state):
+    """Full normal form vs `basis` of the dict {packed monomial: nonzero
+    integer coefficient} `work`, which it consumes.
 
     Returns (remainder items sorted descending, scale) such that
     scale * input == combination of basis + remainder, scale > 0.
     """
-    work = {}
-    for m, c in terms:
-        v = work.get(m)
-        v = c if v is None else v + c
-        if v:
-            work[m] = v
-        else:
-            work.pop(m, None)
     heap = [-m for m in work]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     rem = {}
     scale = 1
     while heap:
-        m = -heapq.heappop(heap)
+        m = -heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
@@ -302,16 +238,15 @@ def _nf(terms, basis, guard, state):
                 work[k] *= lc
             for k in rem:
                 rem[k] *= lc
-        gmons = red.mons
-        gcoeffs = red.coeffs
-        for idx in range(1, len(gmons)):
-            nm = shift + gmons[idx]
+        c = -c
+        for gm, gc in red.tail:
+            nm = shift + gm
             v = work.get(nm)
             if v is None:
-                work[nm] = -c * gcoeffs[idx]
-                heapq.heappush(heap, -nm)
+                work[nm] = c * gc
+                heappush(heap, -nm)
             else:
-                v -= c * gcoeffs[idx]
+                v += c * gc
                 if v:
                     work[nm] = v
                 else:
@@ -333,24 +268,22 @@ def _spoly_terms(f, g, lcm):
             raise _degree_error((shift & _DEGREE) + p.maxdeg)
     d = gcd(f.lc, g.lc)
     cf, cg = g.lc // d, f.lc // d
-    acc = {}
-    for m, c in zip(f.mons, f.coeffs):
-        nm = sf + m
-        acc[nm] = acc.get(nm, 0) + cf * c
-    for m, c in zip(g.mons, g.coeffs):
+    # The lcm terms cancel by the choice of cf and cg, so only tails add up.
+    acc = {sf + m: cf * c for m, c in f.tail}
+    for m, c in g.tail:
         nm = sg + m
         v = acc.get(nm, 0) - cg * c
         if v:
             acc[nm] = v
         else:
-            acc.pop(nm, None)
-    return list(acc.items())
+            del acc[nm]
+    return acc
 
 
 # -- Buchberger ----------------------------------------------------------
 
 
-def _buchberger(inputs, packer, state):
+def _buchberger(inputs, pk, state):
     """Return a (not yet reduced) Groebner basis of the input _EPolys.
 
     Pairs are updated as in Gebauer-Moeller (Becker-Weispfenning's UPDATE).
@@ -362,9 +295,10 @@ def _buchberger(inputs, packer, state):
     The criteria compare lcms by their exponent fields alone, which rank
     monomials lex, so a proper divisor is always a smaller int.
     """
-    guard = packer.guard
-    exps = packer.exps
-    lcm_exps = packer.lcm_exps
+    guard = pk.guard
+    exps = pk.exps
+    lcm_exps = pk.lcm_exps
+    enc_exps = pk.enc_exps
     G = []
     P = []
     seq = 0
@@ -398,8 +332,10 @@ def _buchberger(inputs, packer, state):
                 minimal.append(l)
                 if l not in coprime:
                     g = first[l]
-                    packed = packer.enc(packer.dec(l))
+                    packed = hlm + enc_exps(l - hexp)
                     deg = packed & _DEGREE
+                    if deg >= DEGREE_LIMIT:
+                        raise _degree_error(deg)
                     sugar = max(
                         h.sugar + deg - (hlm & _DEGREE),
                         g.sugar + deg - (g.lm & _DEGREE),
@@ -411,7 +347,7 @@ def _buchberger(inputs, packer, state):
         G.append(h)
 
     for p in inputs:
-        r, _ = _nf(p.items(), G, guard, state)
+        r, _ = _nf(dict(p.terms), G, guard, state)
         if r:
             update(_EPoly(_primitive(r), p.sugar))
     while P:
@@ -433,7 +369,7 @@ def _reduce_basis(G, guard, state):
     out = []
     for i, g in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        r, _ = _nf(g.items(), others, guard, state)
+        r, _ = _nf(dict(g.terms), others, guard, state)
         out.append(_EPoly(_primitive(r)))
     return out
 
@@ -451,8 +387,8 @@ class GroebnerBasis:
 
     def engine(self):
         if self._engine is None:
-            packer = _packer(self.order, self.ring.arity)
-            self._engine = [_epoly(p, packer) for p in self.elements]
+            pk = packer(self.order, self.ring.arity, _WIDTH)
+            self._engine = [_epoly(p, pk) for p in self.elements]
         return self._engine
 
     @property
@@ -551,12 +487,12 @@ def groebner_basis(ideal, order=None):
             ideal._gb[order] = gb
             return gb
     state = _State(ideal.ring.arity)
-    packer = _packer(order, ideal.ring.arity)
-    inputs = [_epoly(g, packer) for g in ideal.generators]
-    raw = _buchberger(inputs, packer, state)
-    reduced = _reduce_basis(raw, packer.guard, state)
+    pk = packer(order, ideal.ring.arity, _WIDTH)
+    inputs = [_epoly(g, pk) for g in ideal.generators]
+    raw = _buchberger(inputs, pk, state)
+    reduced = _reduce_basis(raw, pk.guard, state)
     elements = [
-        _int_terms_to_poly(e.items(), ideal.ring, packer, denom=e.lc) for e in reduced
+        _int_terms_to_poly(e.terms, ideal.ring, pk, denom=e.lc) for e in reduced
     ]
     gb = GroebnerBasis(ideal.ring, order, elements)
     ideal._gb[order] = gb
@@ -570,7 +506,7 @@ def normal_form(f, basis, order=None):
     if isinstance(basis, GroebnerBasis):
         if f.ring != basis.ring:
             raise RingMismatchError("polynomial and basis from different rings")
-        packer = _packer(basis.order, basis.ring.arity)
+        pk = packer(basis.order, basis.ring.arity, _WIDTH)
         engine = basis.engine()
         ring = basis.ring
     else:
@@ -580,13 +516,13 @@ def normal_form(f, basis, order=None):
         ring = basis[0].ring
         if f.ring != ring or any(b.ring != ring for b in basis):
             raise RingMismatchError("polynomial and basis from different rings")
-        packer = _packer(order if order is not None else ring.order, ring.arity)
-        engine = [_epoly(b, packer) for b in basis]
+        pk = packer(order if order is not None else ring.order, ring.arity, _WIDTH)
+        engine = [_epoly(b, pk) for b in basis]
     if f.is_zero():
         return f
-    num, items = _int_terms(f, packer)
-    rem, scale = _nf(items, engine, packer.guard, _State(ring.arity))
-    return _int_terms_to_poly(rem, ring, packer, denom=num * scale)
+    num, items = _int_terms(f, pk)
+    rem, scale = _nf(dict(items), engine, pk.guard, _State(ring.arity))
+    return _int_terms_to_poly(rem, ring, pk, denom=num * scale)
 
 
 def is_member(f, ideal, order=None):
@@ -659,52 +595,85 @@ def intersect(a, b):
         return Ideal(ring, ())
     t = _fresh_aux_name(ring)
     work_ring = Ring((t,) + ring.variables, BlockElim(1))
-    gens = []
-    for g in a.generators:
-        gens.append(Polynomial(work_ring, {(1,) + m: c for m, c in g.terms}))
+    # BlockElim(1) ranks by the degree in t, then by grevlex in the ring's
+    # variables.  In a grevlex ring the terms below are therefore built in
+    # descending order: t*g keeps g's order, and t*h comes before h.
+    ordered = ring.order == GrevLex()
+
+    def make(target, terms):
+        if ordered:
+            return Polynomial._sorted(target, terms)
+        return Polynomial(target, dict(terms))
+
+    gens = [make(work_ring, [((1,) + m, c) for m, c in g.terms]) for g in a.generators]
     for h in b.generators:
-        acc = {}
-        for m, c in h.terms:
-            acc[(0,) + m] = c
-            acc[(1,) + m] = -c
-        gens.append(Polynomial(work_ring, acc))
+        gens.append(
+            make(
+                work_ring,
+                [((1,) + m, -c) for m, c in h.terms] + [((0,) + m, c) for m, c in h.terms],
+            )
+        )
     work = Ideal(work_ring, gens)
     gb = groebner_basis(work, work_ring.order)
     out = []
     for p in gb.elements:
         if p.leading_monomial()[0]:
             continue
-        out.append(Polynomial(ring, {m[1:]: c for m, c in p.terms}))
+        out.append(make(ring, [(m[1:], c) for m, c in p.terms]))
     return Ideal(ring, out)
 
 
 def exact_divide(g, f):
-    """g / f when f divides g exactly; raises PolyError otherwise."""
+    """g / f when f divides g exactly; raises PolyError otherwise.
+
+    Long division on packed keys, shaped like the engine's normal form: a
+    heap of negated keys and a dict of coefficients.  A quotient term of
+    degree above deg g - deg f proves that f does not divide g; stopping
+    there keeps every key at degree at most deg g, so exact at the wider of
+    the two polynomials' packings.
+    """
     if g.ring != f.ring:
         raise RingMismatchError("polynomials from different rings")
     if f.is_zero():
         raise PolyError("division by the zero polynomial")
-    ring = g.ring
-    key = ring.order.key
-    num = {m: c for m, c in g.terms}
-    fm, fc = f.terms[0]
-    quot = {}
-    while num:
-        m = max(num, key=key)
-        c = num.pop(m)
-        if not mon_divides(fm, m):
+    if g.is_zero():
+        return g
+    pk = max(g._packer, f._packer, key=lambda p: p.width)
+    top = g.total_degree() - f.total_degree()
+    guard, degree = pk.guard, pk.degree
+    fkeys = f._packed(pk)
+    flead, fc = fkeys[0], f.terms[0][1]
+    ftail = list(zip(fkeys[1:], [c for _, c in f.terms[1:]]))
+    gkeys = g._packed(pk)
+    work = {k: c for k, (_, c) in zip(gkeys, g.terms)}
+    heap = [-k for k in gkeys]
+    heapq.heapify(heap)
+    qkeys = []
+    qcoeffs = []
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        q = m - flead
+        if q & guard or (q & degree) > top:
             raise PolyError("not an exact multiple")
-        qm = mon_div(m, fm)
         qc = c / fc
-        quot[qm] = qc
-        for m2, c2 in f.terms[1:]:
-            nm = mon_mul(qm, m2)
-            v = num.get(nm, Fraction(0)) - qc * c2
-            if v:
-                num[nm] = v
+        qkeys.append(q)
+        qcoeffs.append(qc)
+        for k, fk in ftail:
+            nm = q + k
+            v = work.get(nm)
+            if v is None:
+                work[nm] = -qc * fk
+                heapq.heappush(heap, -nm)
             else:
-                num.pop(nm, None)
-    return Polynomial(ring, quot)
+                v -= qc * fk
+                if v:
+                    work[nm] = v
+                else:
+                    del work[nm]
+    return Polynomial._sorted(g.ring, zip(map(pk.dec, qkeys), qcoeffs), qkeys, pk)
 
 
 def quotient(a, b):

@@ -3,12 +3,36 @@
 Monomials are plain exponent tuples, one entry per ring variable.
 Polynomials keep their terms in a canonical strictly-descending order,
 so structural equality is ideal-theoretic equality of representatives.
+
+Every monomial order ranks monomials by one packed int, built by a linear
+map: ``enc(m) = sum(e_i * units[i])`` with one unit per variable (Monagan and
+Pearce's packed exponent vectors).  The int has ``2n + 1`` fields of equal
+width; from high to low they hold the order's weight rows, the exponents and
+the total degree.  Lex, grevlex and the block elimination order all rank
+monomials by 0/1 weight rows (the identity for lex, reversed prefix sums for
+each grevlex block), so comparing packed ints compares monomials, multiplying
+monomials adds ints, and a divides b exactly when ``b - a`` borrows from no
+guard bit (the top bit of each exponent and degree field).
+
+Every field is at most the total degree, so a field width of w bits is exact
+while the total degree stays below 2**(w - 1).  A polynomial packs its terms
+at the narrowest of 16, 32 and 64 bits that holds its degree and keeps those
+keys beside its terms; a polynomial of degree 2**63 or more raises
+``DegreeOverflowError``.  ``MonomialOrder.key`` compares monomials that belong
+to no common polynomial, so it always uses 64-bit fields.  The Buchberger
+engine in ``resint.groebner`` works at 16 bits and takes the keys of a
+polynomial in its ring's order as they are.
 """
 
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd
+from operator import add, mul, sub
 
 
 class PolyError(Exception):
@@ -27,11 +51,15 @@ class UnknownVariableError(PolyError):
     pass
 
 
+class DegreeOverflowError(PolyError):
+    """A monomial's total degree is too large for any packed field width."""
+
+
 Monomial = tuple  # exponent vector, one non-negative int per variable
 
 
 def mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_divides(a, b):
@@ -44,7 +72,7 @@ def mon_divides(a, b):
 
 def mon_div(b, a):
     """b / a, assuming a divides b."""
-    return tuple(y - x for x, y in zip(a, b))
+    return tuple(map(sub, b, a))
 
 
 def mon_lcm(a, b):
@@ -59,21 +87,25 @@ def mon_degree(a):
     return sum(a)
 
 
-def _grevlex_key(m):
-    # Larger key = larger monomial: total degree first, then the rightmost
-    # differing variable must have the *smaller* exponent.
-    return (sum(m),) + tuple(-e for e in reversed(m))
+def _grevlex_rows(lo, hi, n):
+    # Over the variables lo..hi-1: deg, deg - e_{hi-1}, deg - e_{hi-1} -
+    # e_{hi-2}, ..., e_lo.  These are the prefix sums, reversed.
+    return [tuple(1 if lo <= v < hi - r else 0 for v in range(n)) for r in range(hi - lo)]
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Base class; subclasses provide flat integer key tuples.
+    """Base class; subclasses give the 0/1 weight rows that rank monomials."""
 
-    Keys are flat so they can be negated elementwise for max-heaps.
-    """
+    def weight_rows(self, n):
+        """n rows of n 0/1 weights, highest first.  Monomials rank by their
+        weighted degree under the first row, ties broken by the next row."""
+        raise NotImplementedError
 
     def key(self, m):
-        raise NotImplementedError
+        """The packed int of m at 64-bit fields: larger int, larger monomial."""
+        _width_for(_max_degree([m]))
+        return packer(self, len(m), FIELD_WIDTHS[-1]).enc(m)
 
     def compare(self, a, b):
         """-1, 0, 1 for a < b, a == b, a > b. Raises on arity mismatch."""
@@ -93,8 +125,8 @@ class MonomialOrder:
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):
-    def key(self, m):
-        return m
+    def weight_rows(self, n):
+        return [tuple(1 if v == r else 0 for v in range(n)) for r in range(n)]
 
     @property
     def tag(self):
@@ -103,8 +135,8 @@ class Lex(MonomialOrder):
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
-    def key(self, m):
-        return _grevlex_key(m)
+    def weight_rows(self, n):
+        return _grevlex_rows(0, n, n)
 
     @property
     def tag(self):
@@ -119,9 +151,9 @@ class BlockElim(MonomialOrder):
 
     front: int
 
-    def key(self, m):
-        f = self.front
-        return _grevlex_key(m[:f]) + _grevlex_key(m[f:])
+    def weight_rows(self, n):
+        f = min(self.front, n)
+        return _grevlex_rows(0, f, n) + _grevlex_rows(f, n, n)
 
     @property
     def tag(self):
@@ -142,10 +174,102 @@ def compare_monomials(order, a, b):
     return order.compare(a, b)
 
 
+# -- packed monomials -----------------------------------------------------
+
+FIELD_WIDTHS = (16, 32, 64)
+_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}
+
+
+class Packer:
+    """Packs exponent tuples of one arity into ints ranked like one order.
+
+    ``enc`` is linear, so ``enc(a) + enc(b) == enc(a * b)``.  It is exact for
+    monomials with non-negative exponents and total degree below ``limit``;
+    callers check both (``_max_degree`` and ``_width_for`` for polynomials,
+    the engine for its own products).
+    """
+
+    __slots__ = ("order", "n", "width", "limit", "degree", "units", "codec", "guard", "exps")
+
+    def __init__(self, order, n, width):
+        self.order = order
+        self.n = n
+        self.width = width
+        self.limit = 1 << (width - 1)
+        self.degree = (1 << width) - 1  # the total-degree field, lowest
+        fields = order.weight_rows(n)
+        fields += [tuple(1 if v == i else 0 for v in range(n)) for i in range(n)]
+        fields.append((1,) * n)
+        top = len(fields) - 1
+        self.units = tuple(
+            sum(row[i] << (width * (top - f)) for f, row in enumerate(fields))
+            for i in range(n)
+        )
+        self.codec = struct.Struct(f">{top + 1}{_STRUCT_CODES[width]}")
+        # Guard bits of the exponent and degree fields: a | b iff not
+        # (b - a) & guard.  The exponent fields alone (weights and degree
+        # zero) carry the pair lcms of the Buchberger loop.
+        self.guard = sum(self.limit << (width * k) for k in range(n + 1))
+        self.exps = sum((self.limit - 1) << (width * k) for k in range(1, n + 1))
+
+    def enc(self, m):
+        return sum(map(mul, compress(m, m), compress(self.units, m)))
+
+    def dec(self, x):
+        n = self.n
+        return self.codec.unpack(x.to_bytes(self.codec.size, "big"))[n : 2 * n]
+
+    def enc_exps(self, x):
+        """The packed monomial whose exponents are the exponent fields of x
+        (weights and degree zero); one step per nonzero field."""
+        width, mask, units, n = self.width, self.limit - 1, self.units, self.n
+        out = 0
+        while x:
+            field = ((x & -x).bit_length() - 1) // width
+            shift = width * field
+            e = (x >> shift) & mask
+            out += e * units[n - field]
+            x ^= e << shift
+        return out
+
+    def lcm_exps(self, a, b):
+        """Exponent fields of lcm(a, b), with weights and degree left zero."""
+        a &= self.exps
+        b &= self.exps
+        h = self.guard
+        ge = ((a | h) - b) & h  # guard bit set where a's field >= b's
+        return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
+
+
+@functools.lru_cache(maxsize=128)
+def packer(order, n, width):
+    """The shared packer of (order, n, width); shared so that keys made by
+    one can be recognised by identity."""
+    return Packer(order, n, width)
+
+
+def _max_degree(mons):
+    """The largest total degree in a non-empty list of exponent tuples."""
+    if mons[0] and min(map(min, mons)) < 0:
+        raise PolyError("negative exponent")
+    return max(map(sum, mons))
+
+
+def _width_for(degree):
+    """The narrowest field width that packs monomials up to `degree` exactly."""
+    for width in FIELD_WIDTHS:
+        if degree >> (width - 1) == 0:
+            return width
+    raise DegreeOverflowError(
+        f"total degree {degree} does not fit the widest packed fields "
+        f"({FIELD_WIDTHS[-1]} bits)"
+    )
+
+
 class Ring:
     """A named polynomial ring over Q with a fixed monomial order."""
 
-    __slots__ = ("variables", "order", "_index", "_hash")
+    __slots__ = ("variables", "order", "_index", "_hash", "_packers")
 
     def __init__(self, variables, order=None):
         variables = tuple(variables)
@@ -160,10 +284,18 @@ class Ring:
         self.order = order if order is not None else GrevLex()
         self._index = {v: i for i, v in enumerate(variables)}
         self._hash = hash((variables, self.order))
+        self._packers = {}
 
     @property
     def arity(self):
         return len(self.variables)
+
+    def packer(self, width=16):
+        """The shared packer of this ring's order and arity at `width` bits."""
+        pk = self._packers.get(width)
+        if pk is None:
+            pk = self._packers[width] = packer(self.order, self.arity, width)
+        return pk
 
     def index(self, name):
         try:
@@ -212,16 +344,65 @@ class Ring:
 
 
 class Polynomial:
-    """Immutable canonical polynomial: terms strictly descending, no zeros."""
+    """Immutable canonical polynomial: terms strictly descending, no zeros.
 
-    __slots__ = ("ring", "terms")
+    ``_keys[i]`` is the packed int of ``terms[i]``'s monomial under
+    ``_packer``, a packer of the ring's order wide enough for every term.
+    """
+
+    __slots__ = ("ring", "terms", "_keys", "_packer")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        key = ring.order.key
         items = [(m, c) for m, c in coeffs.items() if c]
-        items.sort(key=lambda t: key(t[0]), reverse=True)
-        self.terms = tuple(items)
+        if not items:
+            self.terms = self._keys = ()
+            self._packer = ring.packer()
+            return
+        pk = ring.packer(_width_for(_max_degree([m for m, _ in items])))
+        enc = pk.enc
+        # Distinct monomials have distinct keys, so the sort never compares m.
+        keyed = sorted([(enc(m), m, c) for m, c in items], reverse=True)
+        self.terms = tuple([(m, c) for _, m, c in keyed])
+        self._keys = tuple([k for k, _, _ in keyed])
+        self._packer = pk
+
+    @classmethod
+    def _sorted(cls, ring, terms, keys=None, pk=None):
+        """A polynomial from nonzero terms already strictly descending in
+        ring's order; their keys under `pk` are packed here unless given."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms = tuple(terms)
+        if keys is None:
+            if not terms:
+                pk = ring.packer()
+                keys = ()
+            else:
+                mons = [m for m, _ in terms]
+                pk = ring.packer(_width_for(_max_degree(mons)))
+                keys = tuple(map(pk.enc, mons))
+        p._keys = tuple(keys)
+        p._packer = pk
+        return p
+
+    def _cleared(self):
+        """(den, numerators): den is the lcm of the coefficients'
+        denominators, and numerators the coefficients times den, as ints."""
+        den = 1
+        for _, c in self.terms:
+            d = c.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        return den, [c.numerator * (den // c.denominator) for _, c in self.terms]
+
+    def _packed(self, pk):
+        """The packed keys of the terms under packer `pk`, in term order.
+
+        The caller makes sure `pk` is wide enough for this polynomial."""
+        if pk is self._packer:
+            return self._keys
+        return tuple(map(pk.enc, [m for m, _ in self.terms]))
 
     # -- inspection ----------------------------------------------------
 
@@ -241,7 +422,7 @@ class Polynomial:
     def total_degree(self):
         if not self.terms:
             return -1
-        return max(sum(m) for m, _ in self.terms)
+        return max(map(sum, [m for m, _ in self.terms]))
 
     def is_homogeneous(self):
         if not self.terms:
@@ -260,8 +441,8 @@ class Polynomial:
     def terms_sorted(self, order):
         if order == self.ring.order:
             return list(self.terms)
-        key = order.key
-        return sorted(self.terms, key=lambda t: key(t[0]), reverse=True)
+        enc = packer(order, self.ring.arity, self._packer.width).enc
+        return sorted(self.terms, key=lambda t: enc(t[0]), reverse=True)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -273,23 +454,32 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            v = acc.get(m)
-            if v is None:
-                acc[m] = c
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        # The sum merges by key at the wider of the two packings.
+        pk = max(self._packer, other._packer, key=lambda p: p.width)
+        acc = dict(zip(self._packed(pk), self.terms))
+        for k, t in zip(other._packed(pk), other.terms):
+            old = acc.get(k)
+            if old is None:
+                acc[k] = t
             else:
-                v = v + c
+                v = old[1] + t[1]
                 if v:
-                    acc[m] = v
+                    acc[k] = (t[0], v)
                 else:
-                    del acc[m]
-        return Polynomial(self.ring, acc)
+                    del acc[k]
+        keys = sorted(acc, reverse=True)
+        return Polynomial._sorted(self.ring, [acc[k] for k in keys], keys, pk)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.ring, {m: -c for m, c in self.terms})
+        return Polynomial._sorted(
+            self.ring, [(m, -c) for m, c in self.terms], self._keys, self._packer
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -303,20 +493,30 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        if not self.terms or not other.terms:
+            return self.ring.zero()
+        pk = self.ring.packer(_width_for(self.total_degree() + other.total_degree()))
+        # Keys add like monomials multiply, and pk holds the product's
+        # degree, so each product monomial is built once, from its first
+        # pair.  Coefficients multiply as integers over one denominator.
+        da, left = self._cleared()
+        db, right = other._cleared()
+        right = list(zip(other._packed(pk), [m for m, _ in other.terms], right))
         acc = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                m = tuple(x + y for x, y in zip(ma, mb))
-                v = acc.get(m)
+        pairs = {}
+        for ka, (ma, _), ca in zip(self._packed(pk), self.terms, left):
+            for kb, mb, cb in right:
+                k = ka + kb
+                v = acc.get(k)
                 if v is None:
-                    acc[m] = ca * cb
+                    acc[k] = ca * cb
+                    pairs[k] = (ma, mb)
                 else:
-                    v = v + ca * cb
-                    if v:
-                        acc[m] = v
-                    else:
-                        del acc[m]
-        return Polynomial(self.ring, acc)
+                    acc[k] = v + ca * cb
+        den = da * db
+        keys = sorted([k for k, v in acc.items() if v], reverse=True)
+        terms = [(mon_mul(*pairs[k]), Fraction(acc[k], den)) for k in keys]
+        return Polynomial._sorted(self.ring, terms, keys, pk)
 
     __rmul__ = __mul__
 
@@ -324,7 +524,9 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return self.ring.zero()
-        return Polynomial(self.ring, {m: c * v for m, v in self.terms})
+        return Polynomial._sorted(
+            self.ring, [(m, c * v) for m, v in self.terms], self._keys, self._packer
+        )
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

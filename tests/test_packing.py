@@ -1,9 +1,10 @@
-"""The engine's packed monomials, checked against the tuple monomial ops.
+"""Packed monomials, checked against the tuple monomial ops.
 
-A packed monomial must round-trip, sort like its order's key, multiply by
-int addition and test divisibility by one guard mask, for every arity the
-bundled datasets use and for exponents up to the engine's degree limit.
-Monomials at or past the limit must raise rather than wrap.
+A packed monomial must round-trip, sort like a reference tuple key of its
+order, multiply by int addition and test divisibility by one guard mask, for
+every arity the bundled datasets use and for exponents up to the engine's
+degree limit.  The engine raises at or past its limit rather than wrapping;
+a `Polynomial` packs at a width that holds its degree, or raises.
 """
 
 from fractions import Fraction
@@ -12,9 +13,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resint import BlockElim, GrevLex, Ideal, Lex, Ring, groebner_basis, normal_form
-from resint.groebner import DEGREE_LIMIT, GroebnerError, _packer
-from resint.poly import mon_divides, mon_lcm, mon_mul
+from resint import (
+    BlockElim,
+    GrevLex,
+    Ideal,
+    Lex,
+    Polynomial,
+    PolyError,
+    Ring,
+    groebner_basis,
+    normal_form,
+)
+from resint.groebner import DEGREE_LIMIT, GroebnerError
+from resint.poly import DegreeOverflowError, mon_divides, mon_lcm, mon_mul, packer
+
+
+def _grevlex_ref(m):
+    # Larger key = larger monomial: total degree first, then the rightmost
+    # differing variable must have the *smaller* exponent.
+    return (sum(m),) + tuple(-e for e in reversed(m))
+
+
+def reference_key(order, m):
+    """The tuple key each order was defined by before keys were packed."""
+    if isinstance(order, Lex):
+        return m
+    if isinstance(order, GrevLex):
+        return _grevlex_ref(m)
+    f = order.front
+    return _grevlex_ref(m[:f]) + _grevlex_ref(m[f:])
+
 
 # Small exponents make ties and divisibility common; large ones reach the limit.
 exponent = st.one_of(st.integers(0, 3), st.integers(0, DEGREE_LIMIT - 1))
@@ -46,25 +74,87 @@ def _monomials(data, n, count):
 @given(case=order_and_arity(), data=st.data())
 def test_pack_roundtrips_and_sorts_like_order_key(case, data):
     order, n = case
-    p = _packer(order, n)
+    p = packer(order, n, 16)
     ms = _monomials(data, n, data.draw(st.integers(1, 8)))
     for m in ms:
         assert p.dec(p.enc(m)) == m
-    assert sorted(ms, key=p.enc) == sorted(ms, key=order.key)
+    ref = sorted(ms, key=lambda m: reference_key(order, m))
+    assert sorted(ms, key=p.enc) == ref
+    assert sorted(ms, key=order.key) == ref
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=order_and_arity(), data=st.data())
 def test_pack_multiply_lcm_and_divisibility(case, data):
     order, n = case
-    p = _packer(order, n)
+    p = packer(order, n, 16)
     a, c = _capped(*_monomials(data, n, 2))
     b = mon_mul(a, c) if data.draw(st.booleans()) else _monomials(data, n, 1)[0]
     ea, eb, ec = p.enc(a), p.enc(b), p.enc(c)
     assert ea + ec == p.enc(mon_mul(a, c))
     assert (not (eb - ea) & p.guard) == mon_divides(a, b)
     assert (not (ea - eb) & p.guard) == mon_divides(b, a)
-    assert p.dec(p.lcm_exps(ea, eb)) == mon_lcm(a, b)
+    l = p.lcm_exps(ea, eb)
+    assert p.dec(l) == mon_lcm(a, b)
+    # The Buchberger loop packs a pair's lcm as lm(h) + the image of the
+    # exponent fields of lcm / lm(h).
+    assert ea + p.enc_exps(l - (ea & p.exps)) == p.enc(mon_lcm(a, b))
+    assert p.enc_exps(ea & p.exps) == ea
+
+
+# -- wide polynomials ------------------------------------------------------
+
+# At, just past and far past each field width, plus the first degree that no
+# width holds.
+WIDE_DEGREES = [2**15 - 1, 2**15, 2**16, 2**31 + 3, 2**40, 2**63 - 1, 2**63, 2**70]
+
+
+@pytest.mark.parametrize("top", WIDE_DEGREES)
+@settings(max_examples=25, deadline=None)
+@given(case=order_and_arity(), data=st.data())
+def test_wide_polynomials_order_terms_or_raise(top, case, data):
+    order, n = case
+    ring = Ring([f"x{i}" for i in range(n)], order)
+    # One monomial carries the whole degree on some variable, the others
+    # split smaller and large exponents at random.
+    heavy = [0] * n
+    heavy[data.draw(st.integers(0, n - 1))] = top
+    mono = st.lists(st.sampled_from([0, 1, 2, top // 3, top // 2]), min_size=n, max_size=n)
+    ms = {tuple(heavy)} | {tuple(m) for m in data.draw(st.lists(mono, max_size=6))}
+    coeffs = {m: 1 + i for i, m in enumerate(sorted(ms))}
+    degree = max(map(sum, ms))
+    if degree >= 2**63:
+        with pytest.raises(DegreeOverflowError):
+            Polynomial(ring, coeffs)
+        return
+    p = Polynomial(ring, coeffs)
+    want = sorted(ms, key=lambda m: reference_key(order, m), reverse=True)
+    assert [m for m, _ in p.terms] == want
+    assert p.total_degree() == degree
+    assert p + p == p.scale(2)
+    # Sums with a narrower polynomial merge at the wider packing.
+    small = Polynomial(ring, {(1,) * n: 5, (0,) * n: -1})
+    both = dict(coeffs)
+    for m, c in small.terms:
+        both[m] = both.get(m, 0) + c
+    assert p + small == small + p == Polynomial(ring, both)
+    # Products add keys while they fit, then widen, then raise.
+    if 2 * degree >= 2**63:
+        with pytest.raises(DegreeOverflowError):
+            p * p
+        return
+    square = p * p
+    assert square.terms[0][0] == mon_mul(want[0], want[0])
+    assert square.total_degree() == 2 * degree
+    assert square == Polynomial(ring, dict(square.terms))
+
+
+def test_polynomial_rejects_negative_exponents():
+    R = Ring(["x", "y"])
+    with pytest.raises(PolyError, match="negative"):
+        Polynomial(R, {(1, -1): 1})
+    with pytest.raises(PolyError, match="negative"):
+        R.monomial((0, -3))
 
 
 # -- the degree limit ------------------------------------------------------
