@@ -286,20 +286,30 @@ def _spoly_terms(f, g, lcm):
 def _buchberger(inputs, pk, state):
     """Return a (not yet reduced) Groebner basis of the input _EPolys.
 
-    Pairs are updated as in Gebauer-Moeller (Becker-Weispfenning's UPDATE).
-    The new pairs (h, g) are grouped by lcm: a group holding a coprime pair
-    yields nothing, and otherwise its first g yields one pair, provided no
-    other new lcm properly divides it.  An old pair goes when lm(h) divides
-    its lcm and neither of its lcms with h equals it.  The queue is a heap
-    ordered by (sugar, packed lcm, seq): sugar selection (Giovini et al.).
-    The criteria compare lcms by their exponent fields alone, which rank
-    monomials lex, so a proper divisor is always a smaller int.
+    Inputs enter ascending by (sugar, terms), the order Giovini et al. ask
+    for, so the basis, the pair queue and every work counter depend on the
+    generator set and not on the order it came in (only identical
+    polynomials tie).  Pairs are updated as in Gebauer-Moeller
+    (Becker-Weispfenning's UPDATE), incrementally: the new pairs (h, g) are
+    grouped by lcm, a group holding a coprime pair yields nothing, and
+    otherwise its first g yields one pair, provided no other new lcm
+    properly divides it; these are pushed onto the heap.  An old pair goes
+    when lm(h) divides its lcm and neither of its lcms with h equals it;
+    only then is the queue rebuilt and re-heapified.  The heap is ordered by
+    (sugar, packed lcm, seq): sugar selection.  The criteria compare lcms by
+    their exponent fields alone, which rank monomials lex, so a proper
+    divisor is always a smaller int.  The exponent fields of every basis
+    element are kept beside G, and of both partners in each queue entry, so
+    no lcm needs a leading monomial unpacked; the new pairs' lcms are the
+    guard-bit max of ``Packer.lcm_exps`` inlined.
     """
     guard = pk.guard
     exps = pk.exps
     lcm_exps = pk.lcm_exps
     enc_exps = pk.enc_exps
+    top = pk.width - 1
     G = []
+    E = []  # exponent fields of G's leading monomials
     P = []
     seq = 0
 
@@ -307,20 +317,25 @@ def _buchberger(inputs, pk, state):
         nonlocal P, seq
         hlm = h.lm
         hexp = hlm & exps
+        high = hexp | guard
         first = {}
         coprime = set()
-        for g in G:
-            l = lcm_exps(hlm, g.lm)
-            first.setdefault(l, g)
-            if l == hexp + (g.lm & exps):
+        for i, gexp in enumerate(E):
+            ge = (high - gexp) & guard  # guard bit set where h's field >= g's
+            l = gexp ^ ((hexp ^ gexp) & (ge - (ge >> top)))
+            first.setdefault(l, i)
+            if l == hexp + gexp:
                 coprime.add(l)
-        P = [
-            entry
-            for entry in P
-            if (entry[5] - hexp) & guard
-            or lcm_exps(entry[3].lm, hlm) == entry[5]
-            or lcm_exps(entry[4].lm, hlm) == entry[5]
-        ]
+        # B-criterion, by seq.  Entries are (sugar, packed lcm, seq, f, g,
+        # lcm, exponents of f, exponents of g).
+        gone = {
+            e[2]
+            for e in P
+            if not (e[5] - hexp) & guard
+            and lcm_exps(e[6], hexp) != e[5]
+            and lcm_exps(e[7], hexp) != e[5]
+        }
+        new = []
         # A proper divisor is a smaller int, so in ascending order l is
         # minimal iff no minimal lcm found before it divides it.
         minimal = []
@@ -331,7 +346,8 @@ def _buchberger(inputs, pk, state):
             else:
                 minimal.append(l)
                 if l not in coprime:
-                    g = first[l]
+                    i = first[l]
+                    g = G[i]
                     packed = hlm + enc_exps(l - hexp)
                     deg = packed & _DEGREE
                     if deg >= DEGREE_LIMIT:
@@ -341,18 +357,25 @@ def _buchberger(inputs, pk, state):
                         g.sugar + deg - (g.lm & _DEGREE),
                     )
                     seq += 1
-                    P.append((sugar, packed, seq, g, h, l))
-        heapq.heapify(P)
+                    new.append((sugar, packed, seq, g, h, l, E[i], hexp))
+        if gone:
+            P = [e for e in P if e[2] not in gone]
+            P += new
+            heapq.heapify(P)
+        else:
+            for entry in new:
+                heapq.heappush(P, entry)
         state.check_pairs(len(P))
         G.append(h)
+        E.append(hexp)
 
-    for p in inputs:
+    for p in sorted(inputs, key=lambda p: (p.sugar, p.terms)):
         r, _ = _nf(dict(p.terms), G, guard, state)
         if r:
             update(_EPoly(_primitive(r), p.sugar))
     while P:
         # (sugar, packed lcm, seq) is unique, so the heap never compares _EPolys.
-        sugar, lcm, _, f, g, _ = heapq.heappop(P)
+        sugar, lcm, _, f, g, *_ = heapq.heappop(P)
         r, _ = _nf(_spoly_terms(f, g, lcm), G, guard, state)
         if r:
             update(_EPoly(_primitive(r), sugar))
@@ -360,17 +383,22 @@ def _buchberger(inputs, pk, state):
 
 
 def _reduce_basis(G, guard, state):
-    """Minimalize and tail-reduce into the unique reduced basis (ascending)."""
+    """Minimalize and tail-reduce into the unique reduced basis (ascending).
+
+    No other leading monomial of a minimal basis divides lm(g), so only g's
+    tail is reduced; its leading term comes back as lc(g) times the scale
+    of that reduction.
+    """
     Gs = sorted(G, key=lambda g: g.lm)
     kept = []
     for g in Gs:
         if all((g.lm - h.lm) & guard for h in kept):
             kept.append(g)
     out = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        r, _ = _nf(dict(g.terms), others, guard, state)
-        out.append(_EPoly(_primitive(r)))
+    for g in kept:
+        # A tail term is smaller than lm(g), so g never reduces its own tail.
+        r, scale = _nf(dict(g.tail), kept, guard, state)
+        out.append(_EPoly(_primitive([(g.lm, g.lc * scale)] + r)))
     return out
 
 
@@ -526,9 +554,9 @@ def normal_form(f, basis, order=None):
 
 
 def is_member(f, ideal, order=None):
-    gb = groebner_basis(ideal, order)
     if f.ring != ideal.ring:
         raise RingMismatchError("polynomial and ideal from different rings")
+    gb = groebner_basis(ideal, order)
     if f.is_zero():
         return True
     if not gb.elements:

@@ -18,6 +18,7 @@ from resint import (
     NonHomogeneousError,
     Polynomial,
     Ring,
+    RingMismatchError,
     UnitIdealError,
     ZeroIdealDivisorError,
     codim,
@@ -32,6 +33,8 @@ from resint import (
     quotient,
     set_budget,
 )
+from resint import groebner
+from resint.families import pluecker_gr2
 from resint.groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_REDUCTIONS, certify_basis
 from resint.poly import mon_div, mon_divides, mon_gcd, mon_lcm
 
@@ -163,6 +166,13 @@ def test_membership_examples():
     assert not is_member(R.var("y"), Ideal(R, ["x"]))
 
 
+def test_membership_ring_mismatch_raises_before_computing():
+    I = Ideal(Ring(["x", "y"]), ["x^2 - y", "x*y - 1"])
+    with pytest.raises(RingMismatchError):
+        is_member(Ring(["u", "v"]).var("u"), I)
+    assert I._gb == {}
+
+
 def test_ideal_equality_examples():
     R = Ring(["x", "y"])
     assert ideals_equal(Ideal(R, ["x", "y"]), Ideal(R, ["y", "x + y"]))
@@ -177,6 +187,59 @@ def test_equality_verdict_order_independent():
     ]
     for a, b in pairs:
         assert ideals_equal(a, b, GrevLex()) == ideals_equal(a, b, Lex())
+
+
+# -- input order -------------------------------------------------------------------
+
+
+def _gr26_K3():
+    return pluecker_gr2(6).ideal_K(3)
+
+
+def _gr26_K3_cap_p16():
+    model = pluecker_gr2(6)
+    p16 = model.ideal_I().generators[0]
+    return model.ideal_K(3), lambda K: intersect(K, Ideal(K.ring, [p16])).generators
+
+
+def _lex_cyclic():
+    R = Ring(["x", "y", "z", "w"], Lex())
+    I = Ideal(R, ["x + y + z + w", "x*y + y*z + z*w + w*x", "x*y*z + y*z*w + z*w*x + w*x*y",
+                  "x*y*z*w - 1", "x^2 - y*w + 2*z"])
+    return I, lambda I: groebner_basis(I).elements
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (_gr26_K3(), lambda I: groebner_basis(I).elements),
+        _gr26_K3_cap_p16,
+        _lex_cyclic,
+    ],
+    ids=["gr26-K3-basis", "gr26-K3-cap-p16", "lex-cyclic4"],
+)
+def test_engine_work_independent_of_input_order(case, monkeypatch):
+    """Inputs enter the engine in a canonical order, so every shuffle of the
+    generators takes the same reduction steps to the same basis."""
+    steps = [0]
+    step = groebner._State.step
+
+    def counted(state):
+        steps[0] += 1
+        step(state)
+
+    monkeypatch.setattr(groebner._State, "step", counted)
+    ideal, compute = case()
+    rng = random.Random(5)
+    counts, results = set(), set()
+    for _ in range(8):
+        gens = list(ideal.generators)
+        rng.shuffle(gens)
+        steps[0] = 0
+        results.add(tuple(compute(Ideal(ideal.ring, gens))))
+        counts.add(steps[0])
+    assert len(counts) == 1, sorted(counts)
+    assert len(results) == 1
 
 
 # -- elimination, intersection, quotient ---------------------------------------

@@ -89,6 +89,10 @@ def test_reduced_basis_matches_sympy(case):
         # The twisted cubic.
         [{(0, 2, 0, 0): 1, (1, 0, 1, 0): -1}, {(0, 1, 1, 0): 1, (1, 0, 0, 1): -1},
          {(0, 0, 2, 0): 1, (0, 1, 0, 1): -1}],
+        # Interreduction under both orders reduces a tail by an element whose
+        # leading coefficient stays 2 or 3 after content stripping, so the
+        # leading term comes back as lc times the reduction's scale.
+        [{(1, 1, 0): 2, (2, 0, 0): -1}, {(1, 0, 0): 3, (1, 1, 0): 2, (2, 0, 0): 3}],
     ],
 )
 def test_known_ideals_match_sympy(order_name, gens):
