@@ -48,8 +48,6 @@ def _build_parser():
     )
     parser.add_argument("--order", choices=["grevlex", "lex"], default="grevlex",
                         help="monomial order for ad hoc rings")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="concurrent checks for verify (default 1)")
     parser.add_argument("--max-reductions", type=int, default=None, metavar="N",
                         help="reduction-step budget per basis computation")
     parser.add_argument("--json", type=Path, default=None, metavar="PATH",
@@ -108,7 +106,7 @@ def _cmd_verify(args):
             scenario,
             checks=tuple(replace(c, containment_only=False) for c in scenario.checks),
         )
-    report = run_scenario(scenario, jobs=args.jobs)
+    report = run_scenario(scenario)
     width = max((len(r.name) for r in report.checks), default=4)
     for r in report.checks:
         print(f"{r.name:<{width}}  {r.kind:<22} {r.verdict:<7} {r.millis} ms")

@@ -3,7 +3,8 @@
 The engine works on integer-coefficient term lists (denominators cleared,
 content stripped) so the hot reduction loop never touches Fractions; exact
 rational results are recovered by tracking the accumulated scale.  Reduced
-bases are unique per (ideal, monomial order) and cached on the ideal.
+bases are unique per (ideal, monomial order) and cached on the ideal only,
+in memory; nothing is read from or written to disk.
 
 Inside the engine a monomial is the packed int of ``resint.poly`` at 16-bit
 fields: comparing ints compares monomials, the reduction heap holds negated
@@ -25,10 +26,7 @@ order (a grevlex ring).  ``exact_divide`` divides on packed ints with a heap.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
-import os
 from fractions import Fraction
 from math import gcd
 
@@ -81,10 +79,6 @@ def set_budget(max_reductions=None, max_pairs=None):
         _budget["max_reductions"] = max_reductions
     if max_pairs is not None:
         _budget["max_pairs"] = max_pairs
-
-
-def get_budget():
-    return dict(_budget)
 
 
 class _State:
@@ -461,44 +455,6 @@ class Ideal:
         return f"<Ideal with {len(self.generators)} generators in {self.ring!r}>"
 
 
-# -- persistent basis cache ----------------------------------------------
-
-
-def _cache_file(ideal, order):
-    root = os.environ.get("RESINT_CACHE_DIR")
-    if not root:
-        return None
-    payload = json.dumps(
-        [
-            list(ideal.ring.variables),
-            order.tag,
-            [str(g) for g in ideal.generators],
-        ]
-    )
-    digest = hashlib.sha256(payload.encode()).hexdigest()
-    return os.path.join(root, f"gb-{digest}.json")
-
-
-def _cache_load(path, ring):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return [parse_poly(s, ring) for s in data["basis"]]
-    except (OSError, ValueError, KeyError, PolyError):
-        return None
-
-
-def _cache_store(path, elements):
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"basis": [str(p) for p in elements]}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
 # -- public operations ----------------------------------------------------
 
 
@@ -507,13 +463,6 @@ def groebner_basis(ideal, order=None):
     cached = ideal._gb.get(order)
     if cached is not None:
         return cached
-    path = _cache_file(ideal, order)
-    if path is not None and os.path.exists(path):
-        loaded = _cache_load(path, ideal.ring)
-        if loaded is not None:
-            gb = GroebnerBasis(ideal.ring, order, loaded)
-            ideal._gb[order] = gb
-            return gb
     state = _State(ideal.ring.arity)
     pk = packer(order, ideal.ring.arity, _WIDTH)
     inputs = [_epoly(g, pk) for g in ideal.generators]
@@ -524,8 +473,6 @@ def groebner_basis(ideal, order=None):
     ]
     gb = GroebnerBasis(ideal.ring, order, elements)
     ideal._gb[order] = gb
-    if path is not None:
-        _cache_store(path, elements)
     return gb
 
 

@@ -1,16 +1,17 @@
 """Scenario-driven verification of linkage and residual-intersection identities.
 
 A scenario is a JSON document naming a ring, polynomials, ideals, and a list
-of checks.  Checks run independently (optionally in parallel), report entries
-stay in input order, and engine failures are recorded per check rather than
-aborting the run.
+of checks.  ``CHECKS`` is the one table of check kinds: it gives each kind's
+argument types and the names of its exact and containment-only checks, and
+both loading and running read it.  Checks run one after another, report
+entries stay in input order, and engine failures are recorded per check
+rather than aborting the run.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .groebner import (
@@ -28,15 +29,24 @@ from .poly import PolyError, Ring, order_from_tag
 
 FORMAT_VERSION = 1
 
-CHECK_KINDS = (
-    "colon_equals",
-    "link",
-    "geometric_link",
-    "residual_intersection",
-    "codim_equals",
-    "mu_equals",
-    "ideal_equals",
-)
+_IDEAL3 = ("ideal", "ideal", "ideal")
+
+# kind -> (argument types, exact check, containment-only check or None).
+# The checks are named, not stored: _run_check looks each name up in this
+# module when it runs, so a wrapper later bound over the name is what runs.
+CHECKS = {
+    "colon_equals": (_IDEAL3, "check_colon_equals", "check_colon_containment"),
+    "link": (_IDEAL3, "check_link", None),
+    "geometric_link": (_IDEAL3, "check_geometric_link", None),
+    "residual_intersection": (
+        _IDEAL3 + ("int",),
+        "check_residual_intersection",
+        "check_residual_containment",
+    ),
+    "codim_equals": (("ideal", "int"), "check_codim_equals", None),
+    "mu_equals": (("ideal", "int"), "check_mu_equals", None),
+    "ideal_equals": (("ideal", "ideal"), "check_ideal_equals", None),
+}
 
 
 class ScenarioError(PolyError):
@@ -112,38 +122,46 @@ class Report:
 
 # -- scenario loading ---------------------------------------------------------
 
-_ARITY = {
-    "colon_equals": 3,
-    "link": 3,
-    "geometric_link": 3,
-    "residual_intersection": 4,
-    "codim_equals": 2,
-    "mu_equals": 2,
-    "ideal_equals": 2,
-}
-
 _CHECK_KEYS = {"kind", "args", "name", "expect", "mode"}
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, json_type, what):
+    """`value` if it has the JSON type `json_type`, else a ScenarioError."""
+    if not isinstance(value, json_type):
+        raise ScenarioError(f"{what} must be {_JSON_TYPES[json_type]}, got {value!r}")
+    return value
 
 
 def load_scenario(data, name="scenario"):
     """Build a Scenario from a parsed JSON object (or a path via load_scenario_file)."""
+    _typed(data, dict, "a scenario")
     if data.get("format") != FORMAT_VERSION:
         raise ScenarioError(f"unsupported scenario format {data.get('format')!r}")
+    name = _typed(data.get("name", name), str, "the scenario name")
     ring_spec = data.get("ring")
-    if not ring_spec or "vars" not in ring_spec:
+    if not isinstance(ring_spec, dict) or "vars" not in ring_spec:
         raise ScenarioError("scenario is missing the ring declaration")
-    order = order_from_tag(ring_spec.get("order", "grevlex"))
-    ring = Ring(ring_spec["vars"], order)
+    for v in _typed(ring_spec["vars"], list, "ring vars"):
+        _typed(v, str, "a ring variable")
+    try:
+        order = order_from_tag(_typed(ring_spec.get("order", "grevlex"), str, "ring order"))
+        ring = Ring(ring_spec["vars"], order)
+    except (PolyError, ValueError) as exc:
+        raise ScenarioError(f"ring: {exc}") from None
     polys = {}
-    for pname, expr in data.get("polys", {}).items():
+    for pname, expr in _typed(data.get("polys", {}), dict, "polys").items():
+        _typed(expr, str, f"polynomial {pname!r}")
         try:
             polys[pname] = parse_poly(expr, ring)
         except PolyError as exc:
             raise ScenarioError(f"polynomial {pname!r}: {exc}") from None
     ideals = {}
-    for iname, items in data.get("ideals", {}).items():
+    for iname, items in _typed(data.get("ideals", {}), dict, "ideals").items():
         gens = []
-        for item in items:
+        for item in _typed(items, list, f"ideal {iname!r}"):
+            _typed(item, str, f"a generator of ideal {iname!r}")
             if item in polys:
                 gens.append(polys[item])
             else:
@@ -155,41 +173,37 @@ def load_scenario(data, name="scenario"):
                     ) from None
         ideals[iname] = Ideal(ring, gens)
     checks = []
-    for i, spec in enumerate(data.get("checks", []), 1):
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"check {i}: expected an object, got {spec!r}")
+    for i, spec in enumerate(_typed(data.get("checks", []), list, "checks"), 1):
+        _typed(spec, dict, f"check {i}")
         kind = spec.get("kind")
-        cname = spec.get("name", f"check-{i}-{kind}")
+        cname = _typed(spec.get("name", f"check-{i}-{kind}"), str, f"check {i} name")
         where = f"check {i} ({cname!r})"
         unknown = sorted(set(spec) - _CHECK_KEYS)
         if unknown:
             raise ScenarioError(f"{where}: unknown keys {unknown!r}")
-        if kind not in CHECK_KINDS:
+        if not isinstance(kind, str) or kind not in CHECKS:
             raise ScenarioError(f"{where}: unknown kind {kind!r}")
-        args = spec.get("args", [])
-        if not isinstance(args, list):
-            raise ScenarioError(f"{where}: args must be a list, got {args!r}")
-        if len(args) != _ARITY[kind]:
+        types, _, containment = CHECKS[kind]
+        args = _typed(spec.get("args", []), list, f"{where}: args")
+        if len(args) != len(types):
             raise ScenarioError(
-                f"{where}: {kind} takes {_ARITY[kind]} arguments, got {len(args)}"
+                f"{where}: {kind} takes {len(types)} arguments, got {len(args)}"
             )
-        int_last = kind in ("residual_intersection", "codim_equals", "mu_equals")
-        for a in args[:-1] if int_last else args:
-            if not isinstance(a, str) or a not in ideals:
+        for j, (t, a) in enumerate(zip(types, args), 1):
+            if t == "ideal" and (not isinstance(a, str) or a not in ideals):
                 raise ScenarioError(f"{where}: undefined ideal {a!r}")
-        last = args[-1]
-        if int_last and (isinstance(last, bool) or not isinstance(last, int)):
-            raise ScenarioError(f"{where}: {kind} needs an integer last argument, got {last!r}")
+            if t == "int" and (isinstance(a, bool) or not isinstance(a, int)):
+                raise ScenarioError(f"{where}: {kind} needs an integer argument {j}, got {a!r}")
         expect = spec.get("expect", True)
         if not isinstance(expect, bool):
             raise ScenarioError(f"{where}: expect must be true or false, got {expect!r}")
         containment_only = "mode" in spec
         if containment_only and spec["mode"] != "containment-only":
             raise ScenarioError(f"{where}: unknown mode {spec['mode']!r}")
-        if containment_only and kind not in ("colon_equals", "residual_intersection"):
+        if containment_only and containment is None:
             raise ScenarioError(f"{where}: containment-only applies to colon checks")
         checks.append(Check(cname, kind, tuple(args), expect, containment_only))
-    return Scenario(data.get("name", name), ring, polys, ideals, tuple(checks))
+    return Scenario(name, ring, polys, ideals, tuple(checks))
 
 
 def load_scenario_file(path):
@@ -285,41 +299,31 @@ def check_residual_containment(A, I, K, s):
     return ok, values
 
 
+def check_codim_equals(I, c):
+    """codim(I) == c."""
+    computed = codim(I)
+    return computed == c, {"computed": computed}
+
+
+def check_mu_equals(I, m):
+    """mu(I) == m: a minimal generating set of I has m elements."""
+    computed = len(min_generators(I))
+    return computed == m, {"computed": computed}
+
+
+def check_ideal_equals(I, J):
+    """I == J."""
+    equal = ideals_equal(I, J)
+    return equal, {"equal": equal}
+
+
 def _run_check(scenario, check):
-    ideals = scenario.ideals
+    types, exact, containment = CHECKS[check.kind]
+    run = globals()[containment if check.containment_only else exact]
+    args = [scenario.ideals[a] if t == "ideal" else a for t, a in zip(types, check.args)]
     t0 = time.monotonic()
     try:
-        kind = check.kind
-        if kind == "colon_equals":
-            A, I, K = (ideals[a] for a in check.args)
-            if check.containment_only:
-                outcome, values = check_colon_containment(A, I, K)
-            else:
-                outcome, values = check_colon_equals(A, I, K)
-        elif kind == "link":
-            a, I, J = (ideals[x] for x in check.args)
-            outcome, values = check_link(a, I, J)
-        elif kind == "geometric_link":
-            a, I, J = (ideals[x] for x in check.args)
-            outcome, values = check_geometric_link(a, I, J)
-        elif kind == "residual_intersection":
-            A, I, K = (ideals[x] for x in check.args[:3])
-            s = check.args[3]
-            if check.containment_only:
-                outcome, values = check_residual_containment(A, I, K, s)
-            else:
-                outcome, values = check_residual_intersection(A, I, K, s)
-        elif kind == "codim_equals":
-            computed = codim(ideals[check.args[0]])
-            outcome, values = computed == check.args[1], {"computed": computed}
-        elif kind == "mu_equals":
-            computed = len(min_generators(ideals[check.args[0]]))
-            outcome, values = computed == check.args[1], {"computed": computed}
-        elif kind == "ideal_equals":
-            outcome = ideals_equal(ideals[check.args[0]], ideals[check.args[1]])
-            values = {"equal": outcome}
-        else:  # pragma: no cover - guarded at load time
-            raise ScenarioError(f"unknown kind {kind}")
+        outcome, values = run(*args)
     except (GroebnerError, PolyError) as exc:
         millis = int((time.monotonic() - t0) * 1000)
         return CheckResult(check.name, check.kind, "error", {"error": str(exc)}, millis)
@@ -331,13 +335,6 @@ def _run_check(scenario, check):
     return CheckResult(check.name, check.kind, verdict, values, millis)
 
 
-def run_scenario(scenario, jobs=1):
+def run_scenario(scenario):
     """Execute all checks; report entries preserve input order."""
-    report = Report(scenario.name, [])
-    if jobs <= 1:
-        report.checks = [_run_check(scenario, c) for c in scenario.checks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_check, scenario, c) for c in scenario.checks]
-            report.checks = [f.result() for f in futures]
-    return report.finish()
+    return Report(scenario.name, [_run_check(scenario, c) for c in scenario.checks]).finish()

@@ -1,11 +1,13 @@
-"""Session-level goldens for the bundled datasets and the basis cache."""
+"""Session-level goldens for the bundled datasets, and bases never read from disk."""
 
+import hashlib
 import json
 
 from resint import (
     GrevLex,
     Ideal,
     Lex,
+    Ring,
     certify_basis,
     codim,
     groebner_basis,
@@ -13,6 +15,7 @@ from resint import (
     intersect,
     is_member,
     min_generators,
+    parse_poly,
 )
 from resint.families import big_cell_matrix, e6_dataset, generic_matrix, generic_skew, minors, submaximal_pfaffians
 
@@ -140,25 +143,14 @@ def test_typeA_arm_ideals_linked_by_chain_coordinates():
     assert values["codim_a"] == 2
 
 
-def test_basis_cache_roundtrip(tmp_path, monkeypatch):
+def test_planted_basis_file_is_never_read(tmp_path, monkeypatch):
+    # A wrong basis {x} for (x*y), named by the sha256 of (variables, order
+    # tag, generators) as an on-disk basis cache would name it.  Bases live
+    # only on the Ideal, so neither this file nor the variable is consulted.
+    ring = Ring(["x", "y"])
+    key = json.dumps([["x", "y"], ring.order.tag, ["x*y"]])
+    planted = tmp_path / f"gb-{hashlib.sha256(key.encode()).hexdigest()}.json"
+    planted.write_text(json.dumps({"basis": ["x"]}))
     monkeypatch.setenv("RESINT_CACHE_DIR", str(tmp_path))
-    ds = e6_dataset()
-    fresh = Ideal(ds.ring, ds.ideals["a_1"].generators)
-    gb = groebner_basis(fresh)
-    files = list(tmp_path.glob("gb-*.json"))
-    assert len(files) == 1
-    again = Ideal(ds.ring, ds.ideals["a_1"].generators)
-    gb2 = groebner_basis(again)
-    assert gb2.elements == gb.elements
-
-
-def test_basis_cache_ignores_corrupt_files(tmp_path, monkeypatch):
-    monkeypatch.setenv("RESINT_CACHE_DIR", str(tmp_path))
-    ds = e6_dataset()
-    fresh = Ideal(ds.ring, ds.ideals["a_1"].generators)
-    gb = groebner_basis(fresh)
-    path = next(tmp_path.glob("gb-*.json"))
-    path.write_text("not json")
-    again = Ideal(ds.ring, ds.ideals["a_1"].generators)
-    assert groebner_basis(again).elements == gb.elements
-    assert json.loads(path.read_text())["basis"]
+    assert is_member(parse_poly("x", ring), Ideal(ring, ["x*y"])) is False
+    assert list(tmp_path.iterdir()) == [planted]

