@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import combinat, families
+from . import combinat, families, groebner
 from .groebner import (
     GroebnerError,
     Ideal,
@@ -40,6 +40,13 @@ FAMILIES = (
 )
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="resint",
@@ -48,7 +55,7 @@ def _build_parser():
     )
     parser.add_argument("--order", choices=["grevlex", "lex"], default="grevlex",
                         help="monomial order for ad hoc rings")
-    parser.add_argument("--max-reductions", type=int, default=None, metavar="N",
+    parser.add_argument("--max-reductions", type=_positive_int, default=None, metavar="N",
                         help="reduction-step budget per basis computation")
     parser.add_argument("--json", type=Path, default=None, metavar="PATH",
                         help="where to write the JSON report (verify)")
@@ -247,17 +254,22 @@ def _cmd_graph(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    # The budget is process-wide; it holds for this call only.
+    saved = dict(groebner._budget)
     if args.max_reductions is not None:
         set_budget(max_reductions=args.max_reductions)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "family":
-        return _cmd_family(args)
-    if args.command == "op":
-        return _cmd_op(args)
-    if args.command == "graph":
-        return _cmd_graph(args)
-    return 2
+    try:
+        if args.command == "verify":
+            return _cmd_verify(args)
+        if args.command == "family":
+            return _cmd_family(args)
+        if args.command == "op":
+            return _cmd_op(args)
+        if args.command == "graph":
+            return _cmd_graph(args)
+        return 2
+    finally:
+        set_budget(**saved)
 
 
 if __name__ == "__main__":

@@ -10,24 +10,24 @@ Inside the engine a monomial is the packed int of ``resint.poly`` at 16-bit
 fields: comparing ints compares monomials, the reduction heap holds negated
 ints, multiplying and dividing monomials is adding and subtracting ints, and
 a divides b exactly when ``b - a`` borrows from no guard bit.  A polynomial
-in the ring's order hands its keys to the engine as they are; only a basis in
-another order packs and sorts its inputs.  Results leave the same way: terms
-come out of the engine already descending, so a result in the ring's order
-becomes a ``Polynomial`` without a sort.  Every field must stay below 2**15.
+in the ring's order hands its stored keys and integer numerators to the
+engine as they are; only a basis in another order repacks and sorts its
+inputs.  Results leave the same way: terms come out of the engine already
+descending, so a result in the ring's order becomes a ``Polynomial``'s
+stored form without a sort or a decode.  Every field must stay below 2**15.
 The total degree bounds every field, so an input monomial, reduction product
 or S-polynomial lcm of degree 2**15 or more raises ``GroebnerError`` naming
 the limit instead of wrapping.  A pair's packed lcm is lm(h) plus the packed
 image of the few nonzero exponent fields of lcm / lm(h), by linearity.
 
-``intersect`` builds its ``t``-ring inputs, and strips ``t`` from its outputs,
-in the order they already have when the block order restricts to the ring's
-order (a grevlex ring).  ``exact_divide`` divides on packed ints with a heap.
+In a grevlex ring ``intersect`` lifts its inputs into the ``t``-ring, and
+strips ``t`` from its outputs, on the packed keys, which keep their order.
+``exact_divide`` divides on packed ints and integer numerators with a heap.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from math import gcd
 
 from .parser import parse_poly
@@ -165,16 +165,15 @@ class _EPoly:
 
 
 def _int_terms(p, pk):
-    """(den, packed integer terms of den * p), den the lcm of denominators.
-
-    The terms keep p's order, which descends when pk ranks like p's ring.
+    """(den, packed integer terms of den * p): p's stored form, its keys
+    packed by pk.  The terms keep p's order, which descends when pk ranks
+    like p's ring.
     """
     if p._packer is not pk and p._packer.width > pk.width:
         degree = p.total_degree()
         if degree >= DEGREE_LIMIT:
             raise _degree_error(degree)
-    den, numerators = p._cleared()
-    return den, list(zip(p._packed(pk), numerators))
+    return p._den, list(zip(p._packed(pk), p._nums))
 
 
 def _epoly(p, pk):
@@ -185,12 +184,14 @@ def _epoly(p, pk):
 
 
 def _int_terms_to_poly(items, ring, pk, denom=1):
-    """The polynomial of packed terms descending under pk, over denom."""
-    dec = pk.dec
-    terms = [(dec(m), Fraction(c, denom)) for m, c in items]
-    if pk.order == ring.order:
-        return Polynomial._sorted(ring, terms, [m for m, _ in items], pk)
-    return Polynomial(ring, dict(terms))
+    """The polynomial of packed integer terms descending under pk, over the
+    positive denom.  Terms in another order than the ring's are repacked at
+    the same width, which holds them, and sorted."""
+    if pk.order != ring.order:
+        dec, enc = pk.dec, ring.packer(pk.width).enc
+        items = sorted([(enc(dec(m)), c) for m, c in items], reverse=True)
+        pk = ring.packer(pk.width)
+    return Polynomial._stored(ring, [m for m, _ in items], [c for _, c in items], denom, pk)
 
 
 # -- normal form --------------------------------------------------------
@@ -418,6 +419,8 @@ class GroebnerBasis:
         return len(self.elements) == 1 and self.elements[0] == self.ring.one()
 
     def leading_monomials(self):
+        if self.order == self.ring.order:
+            return [p.leading_monomial() for p in self.elements]
         return [p.terms_sorted(self.order)[0][0] for p in self.elements]
 
     def __len__(self):
@@ -571,41 +574,60 @@ def intersect(a, b):
     t = _fresh_aux_name(ring)
     work_ring = Ring((t,) + ring.variables, BlockElim(1))
     # BlockElim(1) ranks by the degree in t, then by grevlex in the ring's
-    # variables.  In a grevlex ring the terms below are therefore built in
-    # descending order: t*g keeps g's order, and t*h comes before h.
-    ordered = ring.order == GrevLex()
-
-    def make(target, terms):
-        if ordered:
-            return Polynomial._sorted(target, terms)
-        return Polynomial(target, dict(terms))
-
-    gens = [make(work_ring, [((1,) + m, c) for m, c in g.terms]) for g in a.generators]
-    for h in b.generators:
-        gens.append(
-            make(
-                work_ring,
-                [((1,) + m, -c) for m, c in h.terms] + [((0,) + m, c) for m, c in h.terms],
-            )
-        )
-    work = Ideal(work_ring, gens)
-    gb = groebner_basis(work, work_ring.order)
+    # variables.  At 16 bits its layout is the grevlex layout with one field
+    # on top (t's weight row), one inserted above the exponent block (t's
+    # exponent) and t added to the degree.  In a grevlex ring a key therefore
+    # lifts into and strips out of the t-ring by shifts, keeping its place:
+    # t*g keeps g's order, and t*h comes before h.
+    low = _WIDTH * (ring.arity + 1)  # the exponent block and the degree field
+    mask = (1 << low) - 1
+    rows = low + _WIDTH  # where the grevlex rows sit in the t-ring
+    wpk = work_ring.packer()
+    tkey = wpk.units[0]
+    gens = a.generators + b.generators
+    on_keys = ring.order == GrevLex() and all(
+        g._packer.width == _WIDTH and g.total_degree() + 1 < DEGREE_LIMIT for g in gens
+    )
+    work = []
+    for i, g in enumerate(gens):
+        if on_keys:
+            lifted = [((k >> low) << rows) + (k & mask) for k in g._keys]
+            keys = [k + tkey for k in lifted]
+            nums = g._nums
+            if i >= len(a.generators):
+                keys += lifted
+                nums = [-c for c in nums] + list(nums)
+            work.append(Polynomial._stored(work_ring, keys, nums, g._den, wpk))
+        else:
+            lifted = {(1,) + m: c for m, c in g.terms}
+            if i >= len(a.generators):
+                lifted = {m: -c for m, c in lifted.items()}
+                lifted.update({(0,) + m: c for m, c in g.terms})
+            work.append(Polynomial(work_ring, lifted))
+    gb = groebner_basis(Ideal(work_ring, work), work_ring.order)
     out = []
     for p in gb.elements:
-        if p.leading_monomial()[0]:
+        # Engine results are packed at 16 bits, where the top field, at
+        # 2 * low, is the degree in t.
+        if p._keys[0] >> (2 * low):
             continue
-        out.append(make(ring, [(m[1:], c) for m, c in p.terms]))
+        if on_keys:
+            keys = [((k >> rows) << low) + (k & mask) for k in p._keys]
+            out.append(Polynomial._stored(ring, keys, p._nums, p._den, ring.packer()))
+        else:
+            out.append(Polynomial(ring, {m[1:]: c for m, c in p.terms}))
     return Ideal(ring, out)
 
 
 def exact_divide(g, f):
     """g / f when f divides g exactly; raises PolyError otherwise.
 
-    Long division on packed keys, shaped like the engine's normal form: a
-    heap of negated keys and a dict of coefficients.  A quotient term of
-    degree above deg g - deg f proves that f does not divide g; stopping
-    there keeps every key at degree at most deg g, so exact at the wider of
-    the two polynomials' packings.
+    Long division on packed keys and integer numerators, shaped like the
+    engine's normal form: a heap of negated keys, a dict of coefficients and
+    a scale that keeps every quotient coefficient an integer.  A quotient
+    term of degree above deg g - deg f proves that f does not divide g;
+    stopping there keeps every key at degree at most deg g, so exact at the
+    wider of the two polynomials' packings.
     """
     if g.ring != f.ring:
         raise RingMismatchError("polynomials from different rings")
@@ -617,14 +639,17 @@ def exact_divide(g, f):
     top = g.total_degree() - f.total_degree()
     guard, degree = pk.guard, pk.degree
     fkeys = f._packed(pk)
-    flead, fc = fkeys[0], f.terms[0][1]
-    ftail = list(zip(fkeys[1:], [c for _, c in f.terms[1:]]))
+    flead, fc = fkeys[0], f._nums[0]
+    ftail = list(zip(fkeys[1:], f._nums[1:]))
     gkeys = g._packed(pk)
-    work = {k: c for k, (_, c) in zip(gkeys, g.terms)}
+    work = dict(zip(gkeys, g._nums))
     heap = [-k for k in gkeys]
     heapq.heapify(heap)
     qkeys = []
-    qcoeffs = []
+    qnums = []
+    scale = 1
+    # Invariant: scale * G == Q * F + work, for G and F the numerators of g
+    # and f and Q the quotient terms so far.
     while heap:
         m = -heapq.heappop(heap)
         c = work.pop(m, None)
@@ -633,9 +658,16 @@ def exact_divide(g, f):
         q = m - flead
         if q & guard or (q & degree) > top:
             raise PolyError("not an exact multiple")
-        qc = c / fc
+        s = abs(fc) // gcd(c, fc)
+        if s != 1:
+            scale *= s
+            c *= s
+            qnums = [v * s for v in qnums]
+            for k in work:
+                work[k] *= s
+        qc = c // fc
         qkeys.append(q)
-        qcoeffs.append(qc)
+        qnums.append(qc)
         for k, fk in ftail:
             nm = q + k
             v = work.get(nm)
@@ -648,7 +680,10 @@ def exact_divide(g, f):
                     work[nm] = v
                 else:
                     del work[nm]
-    return Polynomial._sorted(g.ring, zip(map(pk.dec, qkeys), qcoeffs), qkeys, pk)
+    # g = G / den(g) and f = F / den(f), so g / f = Q * den(f) / (scale * den(g)).
+    return Polynomial._stored(
+        g.ring, qkeys, [v * f._den for v in qnums], scale * g._den, pk
+    )
 
 
 def quotient(a, b):
@@ -660,7 +695,7 @@ def quotient(a, b):
     ring = a.ring
     result = None
     for f in b.generators:
-        if len(f.terms) == 1 and sum(f.terms[0][0]) == 0:
+        if f._keys == (0,):
             part = Ideal(ring, a.generators)
         else:
             inter = intersect(a, Ideal(ring, (f,)))

@@ -1,8 +1,13 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Monomials are plain exponent tuples, one entry per ring variable.
-Polynomials keep their terms in a canonical strictly-descending order,
-so structural equality is ideal-theoretic equality of representatives.
+Monomials are plain exponent tuples, one entry per ring variable, at the
+public surface.  A polynomial stores packed monomial keys (below) in strictly
+descending order, one nonzero integer numerator per key and one positive
+denominator, with no factor common to the denominator and all numerators,
+at the narrowest packing width that holds its degree.  That stored form is
+canonical, so equality and hashing compare it directly, and arithmetic works
+on it without building tuples or Fractions.  The ``terms`` view, (exponent
+tuple, Fraction) pairs in the same order, is decoded on first read and kept.
 
 Every monomial order ranks monomials by one packed int, built by a linear
 map: ``enc(m) = sum(e_i * units[i])`` with one unit per variable (Monagan and
@@ -16,12 +21,13 @@ guard bit (the top bit of each exponent and degree field).
 
 Every field is at most the total degree, so a field width of w bits is exact
 while the total degree stays below 2**(w - 1).  A polynomial packs its terms
-at the narrowest of 16, 32 and 64 bits that holds its degree and keeps those
-keys beside its terms; a polynomial of degree 2**63 or more raises
-``DegreeOverflowError``.  ``MonomialOrder.key`` compares monomials that belong
-to no common polynomial, so it always uses 64-bit fields.  The Buchberger
-engine in ``resint.groebner`` works at 16 bits and takes the keys of a
-polynomial in its ring's order as they are.
+at the narrowest of 16, 32 and 64 bits that holds its degree, and repacks
+narrower when a cancellation lowers the degree; a polynomial of degree 2**63
+or more raises ``DegreeOverflowError``.  ``MonomialOrder.key`` compares
+monomials that belong to no common polynomial, so it always uses 64-bit
+fields.  The Buchberger engine in ``resint.groebner`` works at 16 bits and
+takes the keys and numerators of a polynomial in its ring's order as they
+are.
 """
 
 from __future__ import annotations
@@ -304,9 +310,8 @@ class Ring:
             raise UnknownVariableError(f"unknown variable {name!r}") from None
 
     def var(self, name):
-        i = self.index(name)
-        mon = tuple(1 if j == i else 0 for j in range(self.arity))
-        return Polynomial(self, {mon: Fraction(1)})
+        pk = self.packer()
+        return Polynomial._stored(self, (pk.units[self.index(name)],), (1,), 1, pk)
 
     def gens(self):
         return [self.var(v) for v in self.variables]
@@ -315,10 +320,10 @@ class Ring:
         c = Fraction(c)
         if c == 0:
             return self.zero()
-        return Polynomial(self, {(0,) * self.arity: c})
+        return Polynomial._stored(self, (0,), (c.numerator,), c.denominator, self.packer())
 
     def zero(self):
-        return Polynomial(self, {})
+        return Polynomial._stored(self, (), (), 1, self.packer())
 
     def one(self):
         return self.constant(1)
@@ -344,57 +349,81 @@ class Ring:
 
 
 class Polynomial:
-    """Immutable canonical polynomial: terms strictly descending, no zeros.
+    """Immutable canonical polynomial, stored packed.
 
-    ``_keys[i]`` is the packed int of ``terms[i]``'s monomial under
-    ``_packer``, a packer of the ring's order wide enough for every term.
+    The stored form is ``_keys``, the packed ints of the monomials under
+    ``_packer`` in strictly descending order, ``_nums``, their nonzero integer
+    numerators, and ``_den``, one positive denominator, with
+    ``gcd(_den, *_nums) == 1``.  ``_packer`` is the ring's packer at the
+    narrowest width that holds the degree.  ``terms``, the (exponent tuple,
+    Fraction) pairs, is decoded from the stored form on first read and kept.
     """
 
-    __slots__ = ("ring", "terms", "_keys", "_packer")
+    __slots__ = ("ring", "_keys", "_nums", "_den", "_packer", "_terms")
 
     def __init__(self, ring, coeffs):
-        self.ring = ring
         items = [(m, c) for m, c in coeffs.items() if c]
         if not items:
-            self.terms = self._keys = ()
-            self._packer = ring.packer()
+            self._fill(ring, (), (), 1, ring.packer())
             return
         pk = ring.packer(_width_for(_max_degree([m for m, _ in items])))
         enc = pk.enc
-        # Distinct monomials have distinct keys, so the sort never compares m.
-        keyed = sorted([(enc(m), m, c) for m, c in items], reverse=True)
-        self.terms = tuple([(m, c) for _, m, c in keyed])
-        self._keys = tuple([k for k, _, _ in keyed])
-        self._packer = pk
-
-    @classmethod
-    def _sorted(cls, ring, terms, keys=None, pk=None):
-        """A polynomial from nonzero terms already strictly descending in
-        ring's order; their keys under `pk` are packed here unless given."""
-        p = object.__new__(cls)
-        p.ring = ring
-        p.terms = terms = tuple(terms)
-        if keys is None:
-            if not terms:
-                pk = ring.packer()
-                keys = ()
-            else:
-                mons = [m for m, _ in terms]
-                pk = ring.packer(_width_for(_max_degree(mons)))
-                keys = tuple(map(pk.enc, mons))
-        p._keys = tuple(keys)
-        p._packer = pk
-        return p
-
-    def _cleared(self):
-        """(den, numerators): den is the lcm of the coefficients'
-        denominators, and numerators the coefficients times den, as ints."""
         den = 1
-        for _, c in self.terms:
+        for _, c in items:
             d = c.denominator
             if d != 1:
                 den = den * d // gcd(den, d)
-        return den, [c.numerator * (den // c.denominator) for _, c in self.terms]
+        # Distinct monomials have distinct keys, so the sort never compares c.
+        keyed = sorted([(enc(m), c) for m, c in items], reverse=True)
+        self._fill(
+            ring,
+            [k for k, _ in keyed],
+            [c.numerator * (den // c.denominator) for _, c in keyed],
+            den,
+            pk,
+        )
+
+    @classmethod
+    def _stored(cls, ring, keys, nums, den, pk):
+        """A polynomial from keys strictly descending under `pk`, a packer of
+        ring's order wide enough for each of them, their nonzero integer
+        numerators and a positive denominator."""
+        p = object.__new__(cls)
+        p._fill(ring, keys, nums, den, pk)
+        return p
+
+    def _fill(self, ring, keys, nums, den, pk):
+        # The common factor of den and nums, and any width the degree does
+        # not need (after a cancellation or a division), are taken out here.
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [n // g for n in nums]
+        if pk.width != FIELD_WIDTHS[0]:
+            narrow = ring.packer(_width_for(max([k & pk.degree for k in keys], default=0)))
+            if narrow.width != pk.width:
+                keys = [narrow.enc(pk.dec(k)) for k in keys]
+                pk = narrow
+        self.ring = ring
+        self._keys = tuple(keys)
+        self._nums = tuple(nums)
+        self._den = den
+        self._packer = pk
+        self._terms = None
+
+    @property
+    def terms(self):
+        """The (exponent tuple, Fraction) pairs, strictly descending."""
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            if den == 1:
+                coeffs = map(Fraction, self._nums)
+            else:
+                coeffs = [Fraction(n, den) for n in self._nums]
+            terms = self._terms = tuple(zip(map(self._packer.dec, self._keys), coeffs))
+        return terms
 
     def _packed(self, pk):
         """The packed keys of the terms under packer `pk`, in term order.
@@ -402,40 +431,40 @@ class Polynomial:
         The caller makes sure `pk` is wide enough for this polynomial."""
         if pk is self._packer:
             return self._keys
-        return tuple(map(pk.enc, [m for m, _ in self.terms]))
+        dec = self._packer.dec
+        return tuple([pk.enc(dec(k)) for k in self._keys])
 
     # -- inspection ----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._keys
 
     def leading_monomial(self):
-        if not self.terms:
+        if not self._keys:
             raise PolyError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return self._packer.dec(self._keys[0])
 
     def leading_coefficient(self):
-        if not self.terms:
+        if not self._keys:
             raise PolyError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
+        return Fraction(self._nums[0], self._den)
 
     def total_degree(self):
-        if not self.terms:
+        if not self._keys:
             return -1
-        return max(map(sum, [m for m, _ in self.terms]))
+        degree = self._packer.degree
+        return max([k & degree for k in self._keys])
 
     def is_homogeneous(self):
-        if not self.terms:
-            return True
-        degs = {sum(m) for m, _ in self.terms}
-        return len(degs) == 1
+        degree = self._packer.degree
+        return len({k & degree for k in self._keys}) <= 1
 
     def constant_value(self):
         """The rational value, provided the polynomial is constant."""
-        if not self.terms:
+        if not self._keys:
             return Fraction(0)
-        if len(self.terms) == 1 and sum(self.terms[0][0]) == 0:
-            return self.terms[0][1]
+        if self._keys == (0,):
+            return Fraction(self._nums[0], self._den)
         raise PolyError("not a constant polynomial")
 
     def terms_sorted(self, order):
@@ -454,31 +483,40 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._check(other)
-        if not other.terms:
+        if not other._keys:
             return self
-        if not self.terms:
+        if not self._keys:
             return other
-        # The sum merges by key at the wider of the two packings.
+        # The sum merges by key at the wider of the two packings, over the
+        # lcm of the two denominators.
         pk = max(self._packer, other._packer, key=lambda p: p.width)
-        acc = dict(zip(self._packed(pk), self.terms))
-        for k, t in zip(other._packed(pk), other.terms):
-            old = acc.get(k)
-            if old is None:
-                acc[k] = t
+        da, db = self._den, other._den
+        den = da * db // gcd(da, db)
+        nums = self._nums
+        if den != da:
+            nums = [n * (den // da) for n in nums]
+        acc = dict(zip(self._packed(pk), nums))
+        nums = other._nums
+        if den != db:
+            nums = [n * (den // db) for n in nums]
+        for k, c in zip(other._packed(pk), nums):
+            v = acc.get(k)
+            if v is None:
+                acc[k] = c
             else:
-                v = old[1] + t[1]
+                v += c
                 if v:
-                    acc[k] = (t[0], v)
+                    acc[k] = v
                 else:
                     del acc[k]
         keys = sorted(acc, reverse=True)
-        return Polynomial._sorted(self.ring, [acc[k] for k in keys], keys, pk)
+        return Polynomial._stored(self.ring, keys, [acc[k] for k in keys], den, pk)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._sorted(
-            self.ring, [(m, -c) for m, c in self.terms], self._keys, self._packer
+        return Polynomial._stored(
+            self.ring, self._keys, [-n for n in self._nums], self._den, self._packer
         )
 
     def __sub__(self, other):
@@ -493,30 +531,21 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        if not self.terms or not other.terms:
+        if not self._keys or not other._keys:
             return self.ring.zero()
         pk = self.ring.packer(_width_for(self.total_degree() + other.total_degree()))
+        den = self._den * other._den
         # Keys add like monomials multiply, and pk holds the product's
-        # degree, so each product monomial is built once, from its first
-        # pair.  Coefficients multiply as integers over one denominator.
-        da, left = self._cleared()
-        db, right = other._cleared()
-        right = list(zip(other._packed(pk), [m for m, _ in other.terms], right))
+        # degree; numerators multiply over the product of the denominators.
+        right = list(zip(other._packed(pk), other._nums))
         acc = {}
-        pairs = {}
-        for ka, (ma, _), ca in zip(self._packed(pk), self.terms, left):
-            for kb, mb, cb in right:
+        get = acc.get
+        for ka, ca in zip(self._packed(pk), self._nums):
+            for kb, cb in right:
                 k = ka + kb
-                v = acc.get(k)
-                if v is None:
-                    acc[k] = ca * cb
-                    pairs[k] = (ma, mb)
-                else:
-                    acc[k] = v + ca * cb
-        den = da * db
+                acc[k] = get(k, 0) + ca * cb
         keys = sorted([k for k, v in acc.items() if v], reverse=True)
-        terms = [(mon_mul(*pairs[k]), Fraction(acc[k], den)) for k in keys]
-        return Polynomial._sorted(self.ring, terms, keys, pk)
+        return Polynomial._stored(self.ring, keys, [acc[k] for k in keys], den, pk)
 
     __rmul__ = __mul__
 
@@ -524,8 +553,13 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return self.ring.zero()
-        return Polynomial._sorted(
-            self.ring, [(m, c * v) for m, v in self.terms], self._keys, self._packer
+        cn = c.numerator
+        return Polynomial._stored(
+            self.ring,
+            self._keys,
+            [n * cn for n in self._nums],
+            self._den * c.denominator,
+            self._packer,
         )
 
     def __pow__(self, n):
@@ -541,14 +575,19 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
+        # The packing width is canonical too, so equal polynomials have
+        # equal keys.
         return (
             isinstance(other, Polynomial)
+            and self._keys == other._keys
+            and self._nums == other._nums
+            and self._den == other._den
+            and self._packer.width == other._packer.width
             and self.ring == other.ring
-            and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, self._keys, self._nums, self._den))
 
     # -- calculus ------------------------------------------------------
 

@@ -3,6 +3,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from resint.cli import main
 
 
@@ -156,3 +158,20 @@ def test_exact_flag_upgrades_partial(tmp_path):
     path.write_text(json.dumps(doc))
     assert main(["--json", str(tmp_path / "r1.json"), "verify", str(path)]) == 1
     assert main(["--json", str(tmp_path / "r2.json"), "verify", str(path), "--exact"]) == 0
+
+
+def test_max_reductions_holds_for_one_call_only(capsys):
+    gens = "x^3 - y*z^2 + w; y^3 - x*z*w; z^3 - x*y + w^2; x*y*z*w - 1"
+    op = ["op", "gb", "--ring", "x,y,z,w", "--gens", gens]
+    assert main(["--max-reductions", "5"] + op) == 2
+    assert "reduction-step budget of 5 exceeded" in capsys.readouterr().err
+    assert main(op) == 0
+    assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_reductions_below_one_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-reductions", value, "op", "codim", "--ring", "x", "--gens", "x"])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

@@ -1,12 +1,15 @@
-"""Polynomials crossing the engine boundary on packed keys.
+"""Polynomials in their stored form, and crossing the engine boundary on it.
 
-Engine results become polynomials without a re-sort when the basis order is
-the ring's order, ``intersect`` lifts into and strips ``t`` without one in a
+A polynomial stores packed keys, integer numerators and one denominator, and
+decodes its terms only when they are read.  Arithmetic works on that form,
+engine results become polynomials without a re-sort when the basis order is
+the ring's order, ``intersect`` lifts into and strips ``t`` on keys in a
 grevlex ring, and ``exact_divide`` divides on packed keys.  Each must give
 exactly the polynomial a fresh, sorting construction gives.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from hypothesis import strategies as st
 
 from resint import (
     BlockElim,
+    is_member,
+    parse_poly,
     GrevLex,
     Ideal,
     Lex,
@@ -26,6 +31,7 @@ from resint import (
     quotient,
 )
 from resint.groebner import exact_divide
+from resint.poly import FIELD_WIDTHS, Packer
 
 ORDERS = [Lex(), GrevLex(), BlockElim(1), BlockElim(2)]
 
@@ -45,13 +51,25 @@ def _polys(ring, max_terms, max_degree):
 
 
 def assert_canonical(p):
-    """p equals, and hashes like, its terms rebuilt by the sorting path, and
-    its stored keys are the packed keys of its terms."""
+    """p's stored form is canonical: keys strictly descending at the
+    narrowest width that holds the degree, nonzero integer numerators over
+    one positive denominator sharing no factor with them.  Its lazy terms
+    decode that form, and p equals, and hashes like, those terms rebuilt by
+    the sorting path."""
+    keys, nums, den, pk = p._keys, p._nums, p._den, p._packer
+    assert list(keys) == sorted(set(keys), reverse=True)
+    assert len(nums) == len(keys)
+    assert all(type(n) is int and n for n in nums)
+    assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+    assert pk is p.ring.packer(pk.width)
+    degree = max([sum(m) for m, _ in p.terms], default=0)
+    assert pk.width == min(w for w in FIELD_WIDTHS if degree < 1 << (w - 1))
+    assert p.terms == tuple((pk.dec(k), Fraction(n, den)) for k, n in zip(keys, nums))
+    assert keys == tuple(pk.enc(m) for m, _ in p.terms)
     fresh = Polynomial(p.ring, dict(p.terms))
     assert fresh == p
     assert hash(fresh) == hash(p)
-    assert p._keys == tuple(p._packer.enc(m) for m, _ in p.terms)
-    assert p._packer is p.ring.packer(p._packer.width)
+    assert (fresh._keys, fresh._nums, fresh._den) == (keys, nums, den)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.tag)
@@ -131,17 +149,17 @@ def test_engine_outputs_are_canonical(order, data):
 
 @pytest.mark.parametrize("order", [GrevLex(), Lex()], ids=lambda o: o.tag)
 def test_trusted_constructions_are_sorted(order, monkeypatch):
-    """Every polynomial built without a sort, by the engine, intersect,
-    exact_divide or arithmetic, has its terms strictly descending."""
-    trusted = Polynomial._sorted.__func__
+    """Every polynomial built from a stored form without a sort, by the
+    engine, intersect, exact_divide or arithmetic, is canonical."""
+    trusted = Polynomial._stored.__func__
     built = []
 
-    def audited(cls, ring, terms, keys=None, pk=None):
-        p = trusted(cls, ring, terms, keys, pk)
+    def audited(cls, ring, keys, nums, den, pk):
+        p = trusted(cls, ring, keys, nums, den, pk)
         built.append(p)
         return p
 
-    monkeypatch.setattr(Polynomial, "_sorted", classmethod(audited))
+    monkeypatch.setattr(Polynomial, "_stored", classmethod(audited))
     ring = _ring(order)
     x, y, z = ring.gens()
     a = Ideal(ring, [x * x - y * z, x * y * z - z**3 + 2, y**3 - x * z])
@@ -160,3 +178,75 @@ def test_arithmetic_keeps_keys():
     p = (x + 2 * y - z) * (x - Fraction(1, 2) * z) ** 3 - y * z + 7
     for q in (p, -p, p.scale(3), p + (-p), p - x * x * x * x, p * p):
         assert_canonical(q)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.tag)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stored_form_is_canonical(order, data):
+    ring = _ring(order)
+    f = data.draw(_polys(ring, 4, 3))
+    g = data.draw(_polys(ring, 4, 3))
+    c = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+    cancelled = (f + g) + (-f)  # every term of f cancels
+    assert cancelled == g
+    assert (f - f.scale(c)) == f.scale(1 - c)
+    assert (f + f.scale(-1)).is_zero()
+    assert (f.scale(c) == f) == (c == 1)
+    parsed = parse_poly(str(f), ring)
+    assert parsed == f
+    product = f * g
+    assert exact_divide(product, f) == g
+    small = Ideal(ring, [data.draw(_polys(ring, 3, 2)), data.draw(_polys(ring, 2, 2))])
+    other = Ideal(ring, [data.draw(_polys(ring, 2, 2))])
+    basis = groebner_basis(small)
+    for p in (
+        f + g,
+        cancelled,
+        f - g,
+        product,
+        f.scale(c),
+        -f,
+        parsed,
+        exact_divide(product, f),
+        normal_form(f, basis),
+        *basis,
+        *intersect(small, other).generators,
+    ):
+        assert_canonical(p)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.tag)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_width_is_canonical_after_cancellation(order, data):
+    """A sum packed at 32 bits whose high-degree terms cancel equals, and
+    hashes like, the same polynomial built at 16 bits."""
+    ring = _ring(order)
+    f = data.draw(_polys(ring, 4, 3))
+    high = data.draw(st.integers(1 << 15, (1 << 31) - 8))
+    big = Polynomial(ring, {(high, 0, 1): 2, (1, high, 0): Fraction(-1, 3)})
+    wide = f + big
+    assert wide._packer.width == 32
+    narrow = Polynomial(ring, dict(f.terms))
+    assert narrow._packer.width == 16
+    for s in (wide - big, wide + big.scale(-1), (big + f) - big):
+        assert s == narrow
+        assert hash(s) == hash(narrow)
+        assert_canonical(s)
+    assert (wide * f - big * f) == narrow * f
+
+
+def test_product_then_membership_never_decodes(monkeypatch):
+    """Parsing, products, a basis and membership tests all stay packed."""
+
+    def refuse(self, key):
+        raise AssertionError("a packed key was decoded")
+
+    monkeypatch.setattr(Packer, "dec", refuse)
+    ring = Ring(["x", "y", "z", "w"], GrevLex())
+    A = Ideal(ring, [parse_poly(s, ring) for s in ("x*y - z*w", "x^2 - 1/2*y*w", "z^2 - y*w")])
+    K = [parse_poly(s, ring) for s in ("x + y", "2/3*z - w")]
+    I = [parse_poly(s, ring) for s in ("x*y - z*w", "y*z + x")]
+    verdicts = [is_member(r * g, A) for r in K for g in I]
+    assert verdicts == [True, False, True, False]
