@@ -6,23 +6,26 @@ rational results are recovered by tracking the accumulated scale.  Reduced
 bases are unique per (ideal, monomial order) and cached on the ideal only,
 in memory; nothing is read from or written to disk.
 
-Inside the engine a monomial is the packed int of ``resint.poly`` at 16-bit
-fields: comparing ints compares monomials, the reduction heap holds negated
-ints, multiplying and dividing monomials is adding and subtracting ints, and
-a divides b exactly when ``b - a`` borrows from no guard bit.  A polynomial
-in the ring's order hands its stored keys and integer numerators to the
-engine as they are; only a basis in another order repacks and sorts its
-inputs.  Results leave the same way: terms come out of the engine already
-descending, so a result in the ring's order becomes a ``Polynomial``'s
-stored form without a sort or a decode.  Every field must stay below 2**15.
-The total degree bounds every field, so an input monomial, reduction product
-or S-polynomial lcm of degree 2**15 or more raises ``GroebnerError`` naming
-the limit instead of wrapping.  A pair's packed lcm is lm(h) plus the packed
-image of the few nonzero exponent fields of lcm / lm(h), by linearity.
+Inside the engine a monomial is the packed int of ``resint.poly``:
+comparing ints compares monomials, the reduction heap holds negated ints,
+multiplying and dividing monomials is adding and subtracting ints, and a
+divides b exactly when ``b - a`` borrows from no guard bit.  Each basis
+computation and each normal form runs at the narrowest of 8 and 16 bits
+that holds its inputs.  A polynomial in the ring's order at that width
+hands its stored keys and integer numerators to the engine as they are;
+only a basis in another order sorts its inputs.  Results leave the same
+way, already descending.  The total degree bounds every field, so an input
+monomial, reduction product, S-polynomial shift or pair lcm of degree
+2**(width - 1) stops the computation: at 8 bits it is redone once at 16, and
+at 16 bits it raises ``GroebnerError`` naming the limit instead of
+wrapping.  A pair's packed lcm is lm(h) plus the packed image of the few
+nonzero exponent fields of lcm / lm(h), by linearity.
 
 In a grevlex ring ``intersect`` lifts its inputs into the ``t``-ring, and
-strips ``t`` from its outputs, on the packed keys, which keep their order.
-``exact_divide`` divides on packed ints and integer numerators with a heap.
+strips ``t`` from its outputs, on the packed keys, which keep their order,
+at any width: the generators are packed at the one width that holds their
+largest degree plus one for ``t``.  ``exact_divide`` divides on packed ints
+and integer numerators with a heap.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from math import gcd
 
 from .parser import parse_poly
 from .poly import (
+    FIELD_WIDTHS,
     BlockElim,
     GrevLex,
     Polynomial,
@@ -39,6 +43,7 @@ from .poly import (
     Ring,
     RingMismatchError,
     UnknownVariableError,
+    _width_for,
     mon_div,
     mon_lcm,
     packer,
@@ -107,19 +112,29 @@ class _State:
 
 # -- packed monomials -----------------------------------------------------
 
-# The engine packs at 16-bit fields.  DEGREE_LIMIT is the exclusive bound on
-# the total degree of any engine monomial; it keeps the top bit of every
-# field clear.
+# DEGREE_LIMIT is the exclusive bound on the total degree of any monomial at
+# the widest engine width; it keeps the top bit of every field clear.
 _WIDTH = 16
 DEGREE_LIMIT = 1 << (_WIDTH - 1)
-_DEGREE = (1 << _WIDTH) - 1  # the total-degree field, lowest in every layout
 
 
-def _degree_error(degree):
+class _Widen(Exception):
+    """A degree reached the limit of a narrower engine width than _WIDTH."""
+
+
+def _degree_error(degree, pk):
+    if pk.width < _WIDTH:
+        return _Widen()
     return GroebnerError(
         f"monomial of total degree {degree} exceeds the engine limit of "
         f"{DEGREE_LIMIT - 1}"
     )
+
+
+def _engine_width(polys):
+    """The engine width for polynomials packed as these are: the widest of
+    their widths, at most _WIDTH."""
+    return min(_WIDTH, max([p._packer.width for p in polys], default=FIELD_WIDTHS[0]))
 
 
 # -- engine polynomials -------------------------------------------------
@@ -156,11 +171,11 @@ class _EPoly:
 
     __slots__ = ("terms", "tail", "lm", "lc", "maxdeg", "sugar")
 
-    def __init__(self, items, sugar=0):
+    def __init__(self, items, degree, sugar=0):
         self.terms = items
         self.tail = items[1:]
         self.lm, self.lc = items[0]
-        self.maxdeg = max(m & _DEGREE for m, _ in items)
+        self.maxdeg = max(m & degree for m, _ in items)
         self.sugar = max(sugar, self.maxdeg)
 
 
@@ -171,8 +186,8 @@ def _int_terms(p, pk):
     """
     if p._packer is not pk and p._packer.width > pk.width:
         degree = p.total_degree()
-        if degree >= DEGREE_LIMIT:
-            raise _degree_error(degree)
+        if degree >= pk.limit:
+            raise _degree_error(degree, pk)
     return p._den, list(zip(p._packed(pk), p._nums))
 
 
@@ -180,7 +195,7 @@ def _epoly(p, pk):
     _, items = _int_terms(p, pk)
     if pk.order != p.ring.order:
         items.sort(reverse=True)
-    return _EPoly(_primitive(items))
+    return _EPoly(_primitive(items), pk.degree)
 
 
 def _int_terms_to_poly(items, ring, pk, denom=1):
@@ -199,13 +214,14 @@ def _int_terms_to_poly(items, ring, pk, denom=1):
 _STRIP_BITS = 1024
 
 
-def _nf(work, basis, guard, state):
+def _nf(work, basis, pk, state):
     """Full normal form vs `basis` of the dict {packed monomial: nonzero
     integer coefficient} `work`, which it consumes.
 
     Returns (remainder items sorted descending, scale) such that
     scale * input == combination of basis + remainder, scale > 0.
     """
+    guard, degree, limit = pk.guard, pk.degree, pk.limit
     heap = [-m for m in work]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -224,8 +240,8 @@ def _nf(work, basis, guard, state):
             continue
         state.step()
         shift = m - red.lm
-        if (shift & _DEGREE) + red.maxdeg >= DEGREE_LIMIT:
-            raise _degree_error((shift & _DEGREE) + red.maxdeg)
+        if (shift & degree) + red.maxdeg >= limit:
+            raise _degree_error((shift & degree) + red.maxdeg, pk)
         lc = red.lc
         if lc != 1:
             scale *= lc
@@ -255,12 +271,13 @@ def _nf(work, basis, guard, state):
     return sorted(rem.items(), reverse=True), scale
 
 
-def _spoly_terms(f, g, lcm):
+def _spoly_terms(f, g, lcm, pk):
     sf = lcm - f.lm
     sg = lcm - g.lm
+    degree = pk.degree
     for shift, p in ((sf, f), (sg, g)):
-        if (shift & _DEGREE) + p.maxdeg >= DEGREE_LIMIT:
-            raise _degree_error((shift & _DEGREE) + p.maxdeg)
+        if (shift & degree) + p.maxdeg >= pk.limit:
+            raise _degree_error((shift & degree) + p.maxdeg, pk)
     d = gcd(f.lc, g.lc)
     cf, cg = g.lc // d, f.lc // d
     # The lcm terms cancel by the choice of cf and cg, so only tails add up.
@@ -300,6 +317,8 @@ def _buchberger(inputs, pk, state):
     """
     guard = pk.guard
     exps = pk.exps
+    degree = pk.degree
+    limit = pk.limit
     lcm_exps = pk.lcm_exps
     enc_exps = pk.enc_exps
     top = pk.width - 1
@@ -344,12 +363,12 @@ def _buchberger(inputs, pk, state):
                     i = first[l]
                     g = G[i]
                     packed = hlm + enc_exps(l - hexp)
-                    deg = packed & _DEGREE
-                    if deg >= DEGREE_LIMIT:
-                        raise _degree_error(deg)
+                    deg = packed & degree
+                    if deg >= limit:
+                        raise _degree_error(deg, pk)
                     sugar = max(
-                        h.sugar + deg - (hlm & _DEGREE),
-                        g.sugar + deg - (g.lm & _DEGREE),
+                        h.sugar + deg - (hlm & degree),
+                        g.sugar + deg - (g.lm & degree),
                     )
                     seq += 1
                     new.append((sugar, packed, seq, g, h, l, E[i], hexp))
@@ -365,25 +384,26 @@ def _buchberger(inputs, pk, state):
         E.append(hexp)
 
     for p in sorted(inputs, key=lambda p: (p.sugar, p.terms)):
-        r, _ = _nf(dict(p.terms), G, guard, state)
+        r, _ = _nf(dict(p.terms), G, pk, state)
         if r:
-            update(_EPoly(_primitive(r), p.sugar))
+            update(_EPoly(_primitive(r), degree, p.sugar))
     while P:
         # (sugar, packed lcm, seq) is unique, so the heap never compares _EPolys.
         sugar, lcm, _, f, g, *_ = heapq.heappop(P)
-        r, _ = _nf(_spoly_terms(f, g, lcm), G, guard, state)
+        r, _ = _nf(_spoly_terms(f, g, lcm, pk), G, pk, state)
         if r:
-            update(_EPoly(_primitive(r), sugar))
+            update(_EPoly(_primitive(r), degree, sugar))
     return G
 
 
-def _reduce_basis(G, guard, state):
+def _reduce_basis(G, pk, state):
     """Minimalize and tail-reduce into the unique reduced basis (ascending).
 
     No other leading monomial of a minimal basis divides lm(g), so only g's
     tail is reduced; its leading term comes back as lc(g) times the scale
     of that reduction.
     """
+    guard = pk.guard
     Gs = sorted(G, key=lambda g: g.lm)
     kept = []
     for g in Gs:
@@ -392,8 +412,8 @@ def _reduce_basis(G, guard, state):
     out = []
     for g in kept:
         # A tail term is smaller than lm(g), so g never reduces its own tail.
-        r, scale = _nf(dict(g.tail), kept, guard, state)
-        out.append(_EPoly(_primitive([(g.lm, g.lc * scale)] + r)))
+        r, scale = _nf(dict(g.tail), kept, pk, state)
+        out.append(_EPoly(_primitive([(g.lm, g.lc * scale)] + r), pk.degree))
     return out
 
 
@@ -406,13 +426,15 @@ class GroebnerBasis:
         self.ring = ring
         self.order = order
         self.elements = tuple(elements)
-        self._engine = None
+        self._engine = {}
 
-    def engine(self):
-        if self._engine is None:
-            pk = packer(self.order, self.ring.arity, _WIDTH)
-            self._engine = [_epoly(p, pk) for p in self.elements]
-        return self._engine
+    def engine(self, width):
+        """The elements as engine polynomials at `width` bits, kept per width."""
+        engine = self._engine.get(width)
+        if engine is None:
+            pk = packer(self.order, self.ring.arity, width)
+            engine = self._engine[width] = [_epoly(p, pk) for p in self.elements]
+        return engine
 
     @property
     def is_unit(self):
@@ -461,22 +483,35 @@ class Ideal:
 # -- public operations ----------------------------------------------------
 
 
+def _reduced_basis(ideal, order, width):
+    """The reduced basis elements of `ideal` under `order`, computed at
+    `width` bits."""
+    ring = ideal.ring
+    state = _State(ring.arity)
+    pk = packer(order, ring.arity, width)
+    inputs = [_epoly(g, pk) for g in ideal.generators]
+    reduced = _reduce_basis(_buchberger(inputs, pk, state), pk, state)
+    return [_int_terms_to_poly(e.terms, ring, pk, denom=e.lc) for e in reduced]
+
+
 def groebner_basis(ideal, order=None):
     order = order if order is not None else ideal.ring.order
     cached = ideal._gb.get(order)
     if cached is not None:
         return cached
-    state = _State(ideal.ring.arity)
-    pk = packer(order, ideal.ring.arity, _WIDTH)
-    inputs = [_epoly(g, pk) for g in ideal.generators]
-    raw = _buchberger(inputs, pk, state)
-    reduced = _reduce_basis(raw, pk.guard, state)
-    elements = [
-        _int_terms_to_poly(e.terms, ideal.ring, pk, denom=e.lc) for e in reduced
-    ]
+    try:
+        elements = _reduced_basis(ideal, order, _engine_width(ideal.generators))
+    except _Widen:
+        elements = _reduced_basis(ideal, order, _WIDTH)
     gb = GroebnerBasis(ideal.ring, order, elements)
     ideal._gb[order] = gb
     return gb
+
+
+def _remainder(f, engine, ring, pk):
+    num, items = _int_terms(f, pk)
+    rem, scale = _nf(dict(items), engine, pk, _State(ring.arity))
+    return _int_terms_to_poly(rem, ring, pk, denom=num * scale)
 
 
 def normal_form(f, basis, order=None):
@@ -484,9 +519,8 @@ def normal_form(f, basis, order=None):
     if isinstance(basis, GroebnerBasis):
         if f.ring != basis.ring:
             raise RingMismatchError("polynomial and basis from different rings")
-        pk = packer(basis.order, basis.ring.arity, _WIDTH)
-        engine = basis.engine()
-        ring = basis.ring
+        ring, order, engine = basis.ring, basis.order, basis.engine
+        basis = basis.elements
     else:
         basis = [b for b in basis if not b.is_zero()]
         if not basis:
@@ -494,13 +528,19 @@ def normal_form(f, basis, order=None):
         ring = basis[0].ring
         if f.ring != ring or any(b.ring != ring for b in basis):
             raise RingMismatchError("polynomial and basis from different rings")
-        pk = packer(order if order is not None else ring.order, ring.arity, _WIDTH)
-        engine = [_epoly(b, pk) for b in basis]
+        order = order if order is not None else ring.order
+
+        def engine(width):
+            pk = packer(order, ring.arity, width)
+            return [_epoly(b, pk) for b in basis]
+
     if f.is_zero():
         return f
-    num, items = _int_terms(f, pk)
-    rem, scale = _nf(dict(items), engine, pk.guard, _State(ring.arity))
-    return _int_terms_to_poly(rem, ring, pk, denom=num * scale)
+    width = _engine_width((*basis, f))
+    try:
+        return _remainder(f, engine(width), ring, packer(order, ring.arity, width))
+    except _Widen:
+        return _remainder(f, engine(_WIDTH), ring, packer(order, ring.arity, _WIDTH))
 
 
 def is_member(f, ideal, order=None):
@@ -574,24 +614,26 @@ def intersect(a, b):
     t = _fresh_aux_name(ring)
     work_ring = Ring((t,) + ring.variables, BlockElim(1))
     # BlockElim(1) ranks by the degree in t, then by grevlex in the ring's
-    # variables.  At 16 bits its layout is the grevlex layout with one field
-    # on top (t's weight row), one inserted above the exponent block (t's
-    # exponent) and t added to the degree.  In a grevlex ring a key therefore
-    # lifts into and strips out of the t-ring by shifts, keeping its place:
-    # t*g keeps g's order, and t*h comes before h.
-    low = _WIDTH * (ring.arity + 1)  # the exponent block and the degree field
-    mask = (1 << low) - 1
-    rows = low + _WIDTH  # where the grevlex rows sit in the t-ring
-    wpk = work_ring.packer()
-    tkey = wpk.units[0]
+    # variables.  At any width its layout is the grevlex layout with one
+    # field on top (t's weight row), one inserted above the exponent block
+    # (t's exponent) and t added to the degree.  In a grevlex ring a key
+    # therefore lifts into and strips out of the t-ring by shifts, keeping
+    # its place: t*g keeps g's order, and t*h comes before h.  The lift packs
+    # every generator at the width that holds the largest degree plus t.
     gens = a.generators + b.generators
-    on_keys = ring.order == GrevLex() and all(
-        g._packer.width == _WIDTH and g.total_degree() + 1 < DEGREE_LIMIT for g in gens
-    )
+    on_keys = ring.order == GrevLex()
+    if on_keys:
+        pk = ring.packer(_width_for(max([g.total_degree() for g in gens]) + 1))
+        width = pk.width
+        low = width * (ring.arity + 1)  # the exponent block and the degree field
+        mask = (1 << low) - 1
+        rows = low + width  # where the grevlex rows sit in the t-ring
+        wpk = work_ring.packer(width)
+        tkey = wpk.units[0]
     work = []
     for i, g in enumerate(gens):
         if on_keys:
-            lifted = [((k >> low) << rows) + (k & mask) for k in g._keys]
+            lifted = [((k >> low) << rows) + (k & mask) for k in g._packed(pk)]
             keys = [k + tkey for k in lifted]
             nums = g._nums
             if i >= len(a.generators):
@@ -607,13 +649,19 @@ def intersect(a, b):
     gb = groebner_basis(Ideal(work_ring, work), work_ring.order)
     out = []
     for p in gb.elements:
-        # Engine results are packed at 16 bits, where the top field, at
-        # 2 * low, is the degree in t.
+        # The top field of a t-ring key is its degree in t, and no term of p
+        # has t when its leading term has none.
+        width = p._packer.width
+        low = width * (ring.arity + 1)
         if p._keys[0] >> (2 * low):
             continue
         if on_keys:
+            mask = (1 << low) - 1
+            rows = low + width
             keys = [((k >> rows) << low) + (k & mask) for k in p._keys]
-            out.append(Polynomial._stored(ring, keys, p._nums, p._den, ring.packer()))
+            out.append(
+                Polynomial._stored(ring, keys, p._nums, p._den, ring.packer(width))
+            )
         else:
             out.append(Polynomial(ring, {m[1:]: c for m, c in p.terms}))
     return Ideal(ring, out)
@@ -625,9 +673,10 @@ def exact_divide(g, f):
     Long division on packed keys and integer numerators, shaped like the
     engine's normal form: a heap of negated keys, a dict of coefficients and
     a scale that keeps every quotient coefficient an integer.  A quotient
-    term of degree above deg g - deg f proves that f does not divide g;
-    stopping there keeps every key at degree at most deg g, so exact at the
-    wider of the two polynomials' packings.
+    term of degree above deg g - deg f proves that f does not divide g, so
+    the division stops there early.  Keys stay exact without that test: at
+    w bits a quotient term passes the guard test only below degree
+    2**(w - 1), so times a term of f no field reaches 2**w.
     """
     if g.ring != f.ring:
         raise RingMismatchError("polynomials from different rings")

@@ -119,6 +119,8 @@ class _Parser:
             if self.peek()[0] == "/":
                 self.advance()
                 den = self.expect("int")
+                if int(den[1]) == 0:
+                    raise ParseError("zero denominator", den[2])
                 value = value / int(den[1])
             return self.ring.constant(value)
         if kind == "name":

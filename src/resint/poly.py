@@ -21,13 +21,14 @@ guard bit (the top bit of each exponent and degree field).
 
 Every field is at most the total degree, so a field width of w bits is exact
 while the total degree stays below 2**(w - 1).  A polynomial packs its terms
-at the narrowest of 16, 32 and 64 bits that holds its degree, and repacks
-narrower when a cancellation lowers the degree; a polynomial of degree 2**63
-or more raises ``DegreeOverflowError``.  ``MonomialOrder.key`` compares
-monomials that belong to no common polynomial, so it always uses 64-bit
-fields.  The Buchberger engine in ``resint.groebner`` works at 16 bits and
-takes the keys and numerators of a polynomial in its ring's order as they
-are.
+at the narrowest of 8, 16, 32 and 64 bits that holds its degree (8 bits up
+to degree 127), widens a product that needs it, and repacks narrower when a
+cancellation lowers the degree; a polynomial of degree 2**63 or more raises
+``DegreeOverflowError``.  ``MonomialOrder.key`` compares monomials that
+belong to no common polynomial, so it always uses 64-bit fields.  The
+Buchberger engine in ``resint.groebner`` runs at the narrowest of 8 and 16
+bits that holds its inputs and takes the keys and numerators of a
+polynomial in its ring's order as they are.
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ def compare_monomials(order, a, b):
 
 # -- packed monomials -----------------------------------------------------
 
-FIELD_WIDTHS = (16, 32, 64)
-_STRUCT_CODES = {16: "H", 32: "I", 64: "Q"}
+FIELD_WIDTHS = (8, 16, 32, 64)
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class Packer:
@@ -296,7 +297,7 @@ class Ring:
     def arity(self):
         return len(self.variables)
 
-    def packer(self, width=16):
+    def packer(self, width=FIELD_WIDTHS[0]):
         """The shared packer of this ring's order and arity at `width` bits."""
         pk = self._packers.get(width)
         if pk is None:

@@ -167,9 +167,13 @@ def load_scenario(data, name="scenario"):
             else:
                 try:
                     gens.append(parse_poly(item, ring))
-                except PolyError:
+                except PolyError as exc:
+                    if item.strip().isidentifier():
+                        raise ScenarioError(
+                            f"ideal {iname!r} references undefined polynomial {item!r}"
+                        ) from None
                     raise ScenarioError(
-                        f"ideal {iname!r} references undefined polynomial {item!r}"
+                        f"ideal {iname!r}, generator {item!r}: {exc}"
                     ) from None
         ideals[iname] = Ideal(ring, gens)
     checks = []

@@ -116,6 +116,31 @@ def test_op_parse_error_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_op_zero_denominator_exits_two(capsys):
+    assert main(["op", "gb", "--ring", "x,y", "--gens", "1/0*x"]) == 2
+    assert "zero denominator (at position 2)" in capsys.readouterr().err
+
+
+def test_verify_zero_denominator_in_scenario_exits_two(tmp_path, capsys):
+    doc = {
+        "format": 1,
+        "ring": {"vars": ["x", "y"]},
+        "polys": {"f": "1/0*x"},
+        "ideals": {"I": ["f"]},
+        "checks": [{"kind": "ideal_equals", "args": ["I", "I"]}],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--json", str(tmp_path / "r.json"), "verify", str(path)]) == 2
+    assert "zero denominator" in capsys.readouterr().err
+
+
+def test_op_gb_past_8_bits(capsys):
+    argv = ["--order", "lex", "op", "gb", "--ring", "x,y", "--gens", "x^2; x - y^127"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["y^254", "x - y^127"]
+
+
 def test_graph_gk_dot(tmp_path):
     out = tmp_path / "g.dot"
     assert main(["graph", "gk", "E", "6", "6", "--dot", str(out)]) == 0

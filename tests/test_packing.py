@@ -2,9 +2,11 @@
 
 A packed monomial must round-trip, sort like a reference tuple key of its
 order, multiply by int addition and test divisibility by one guard mask, for
-every arity the bundled datasets use and for exponents up to the engine's
-degree limit.  The engine raises at or past its limit rather than wrapping;
-a `Polynomial` packs at a width that holds its degree, or raises.
+every arity the bundled datasets use and for exponents up to the limit of
+each engine width, 8 and 16 bits.  An 8-bit computation whose degree reaches
+128 is redone at 16 bits; at 16 bits the engine raises at or past its limit
+rather than wrapping.  A `Polynomial` packs at a width that holds its
+degree, or raises.
 """
 
 from fractions import Fraction
@@ -22,10 +24,19 @@ from resint import (
     PolyError,
     Ring,
     groebner_basis,
+    intersect,
+    is_member,
     normal_form,
 )
 from resint.groebner import DEGREE_LIMIT, GroebnerError
-from resint.poly import DegreeOverflowError, mon_divides, mon_lcm, mon_mul, packer
+from resint.poly import (
+    FIELD_WIDTHS,
+    DegreeOverflowError,
+    mon_divides,
+    mon_lcm,
+    mon_mul,
+    packer,
+)
 
 
 def _grevlex_ref(m):
@@ -44,8 +55,8 @@ def reference_key(order, m):
     return _grevlex_ref(m[:f]) + _grevlex_ref(m[f:])
 
 
-# Small exponents make ties and divisibility common; large ones reach the limit.
-exponent = st.one_of(st.integers(0, 3), st.integers(0, DEGREE_LIMIT - 1))
+# The widths the engine runs at.
+ENGINE_WIDTHS = FIELD_WIDTHS[:2]
 
 
 @st.composite
@@ -57,25 +68,29 @@ def order_and_arity(draw):
     return order, n
 
 
-def _capped(*ms):
-    """Scale monomials down so that their degrees sum to below the limit."""
+def _capped(limit, *ms):
+    """Scale monomials down so that their degrees sum to below `limit`."""
     total = sum(sum(m) for m in ms)
-    if total < DEGREE_LIMIT:
+    if total < limit:
         return ms
-    return tuple(tuple(e * (DEGREE_LIMIT - 1) // total for e in m) for m in ms)
+    return tuple(tuple(e * (limit - 1) // total for e in m) for m in ms)
 
 
-def _monomials(data, n, count):
+def _monomials(data, n, count, limit):
+    # Small exponents make ties and divisibility common; large ones reach
+    # the limit.
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, limit - 1))
     mono = st.lists(exponent, min_size=n, max_size=n).map(tuple)
-    return [_capped(data.draw(mono))[0] for _ in range(count)]
+    return [_capped(limit, data.draw(mono))[0] for _ in range(count)]
 
 
+@pytest.mark.parametrize("width", ENGINE_WIDTHS)
 @settings(max_examples=200, deadline=None)
 @given(case=order_and_arity(), data=st.data())
-def test_pack_roundtrips_and_sorts_like_order_key(case, data):
+def test_pack_roundtrips_and_sorts_like_order_key(width, case, data):
     order, n = case
-    p = packer(order, n, 16)
-    ms = _monomials(data, n, data.draw(st.integers(1, 8)))
+    p = packer(order, n, width)
+    ms = _monomials(data, n, data.draw(st.integers(1, 8)), p.limit)
     for m in ms:
         assert p.dec(p.enc(m)) == m
     ref = sorted(ms, key=lambda m: reference_key(order, m))
@@ -83,13 +98,14 @@ def test_pack_roundtrips_and_sorts_like_order_key(case, data):
     assert sorted(ms, key=order.key) == ref
 
 
+@pytest.mark.parametrize("width", ENGINE_WIDTHS)
 @settings(max_examples=200, deadline=None)
 @given(case=order_and_arity(), data=st.data())
-def test_pack_multiply_lcm_and_divisibility(case, data):
+def test_pack_multiply_lcm_and_divisibility(width, case, data):
     order, n = case
-    p = packer(order, n, 16)
-    a, c = _capped(*_monomials(data, n, 2))
-    b = mon_mul(a, c) if data.draw(st.booleans()) else _monomials(data, n, 1)[0]
+    p = packer(order, n, width)
+    a, c = _capped(p.limit, *_monomials(data, n, 2, p.limit))
+    b = mon_mul(a, c) if data.draw(st.booleans()) else _monomials(data, n, 1, p.limit)[0]
     ea, eb, ec = p.enc(a), p.enc(b), p.enc(c)
     assert ea + ec == p.enc(mon_mul(a, c))
     assert (not (eb - ea) & p.guard) == mon_divides(a, b)
@@ -106,7 +122,9 @@ def test_pack_multiply_lcm_and_divisibility(case, data):
 
 # At, just past and far past each field width, plus the first degree that no
 # width holds.
-WIDE_DEGREES = [2**15 - 1, 2**15, 2**16, 2**31 + 3, 2**40, 2**63 - 1, 2**63, 2**70]
+WIDE_DEGREES = [
+    2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**16, 2**31 + 3, 2**40, 2**63 - 1, 2**63, 2**70
+]
 
 
 @pytest.mark.parametrize("top", WIDE_DEGREES)
@@ -138,6 +156,10 @@ def test_wide_polynomials_order_terms_or_raise(top, case, data):
     for m, c in small.terms:
         both[m] = both.get(m, 0) + c
     assert p + small == small + p == Polynomial(ring, both)
+    # Cancelling p's terms repacks the sum at small's width.
+    rest = (p + small) - p
+    assert rest == small
+    assert rest._packer.width == small._packer.width == FIELD_WIDTHS[0]
     # Products add keys while they fit, then widen, then raise.
     if 2 * degree >= 2**63:
         with pytest.raises(DegreeOverflowError):
@@ -195,3 +217,71 @@ def test_generator_just_below_degree_limit_is_reduced():
     gb = groebner_basis(Ideal(R, [g]))
     assert gb.elements == (g.scale(Fraction(1, 2)),)
     assert normal_form(R.monomial((top, 0)), gb) == (g.scale(Fraction(-1, 2)) + R.monomial((top, 0)))
+
+
+# -- the 8 -> 16 redo --------------------------------------------------------
+
+
+def test_basis_past_8_bits_is_redone_at_16():
+    R = _lex_xy()
+    x, y = R.gens()
+    g = x - y**127
+    # Both inputs pack at 8 bits; x * y^127 and the basis element y^254 do not.
+    assert g._packer.width == (x * x)._packer.width == 8
+    gb = groebner_basis(Ideal(R, [x * x, g]))
+    assert gb.elements == (y**254, g)
+    assert [p._packer.width for p in gb] == [16, 8]
+
+
+def test_normal_form_past_8_bits_is_redone_at_16():
+    R = _lex_xy()
+    x, y = R.gens()
+    g = x - y**127
+    assert normal_form(x * x, [g]) == y**254
+    basis = groebner_basis(Ideal(R, [g]))
+    # First used at 8 bits, then widened for x^2.
+    assert normal_form(x * y, basis) == y**128
+    assert normal_form(y, basis) == y
+    assert normal_form(x * x, basis) == y**254
+    assert is_member(x * x - y**254, Ideal(R, [g]))
+    assert not is_member(x * x, Ideal(R, [g]))
+
+
+def test_intersect_of_mixed_widths_matches_the_terms_path(monkeypatch):
+    R = Ring(["x", "y", "z"], GrevLex())
+    # BlockElim(0) ranks like grevlex, but intersect lifts only a GrevLex
+    # ring's keys, so the twin takes the terms path.
+    twin = Ring(R.variables, BlockElim(0))
+    x, y, z = R.gens()
+    small, cubic = x * y - z**2, z**3 - x * y * z  # 8 bits
+    top = y**127 - x * z**126  # 8 bits, but t lifts it to degree 128
+    wide = y**130 - x * z**129  # 16 bits
+    assert [p._packer.width for p in (small, cubic, top, wide)] == [8, 8, 8, 16]
+    # Every polynomial built on keys, the lifted ones included, holds its
+    # degree at its width.
+    trusted = Polynomial._stored.__func__
+
+    def audited(cls, ring, keys, nums, den, pk):
+        assert max([k & pk.degree for k in keys], default=0) < pk.limit
+        return trusted(cls, ring, keys, nums, den, pk)
+
+    monkeypatch.setattr(Polynomial, "_stored", classmethod(audited))
+
+    def move(ps, ring):
+        return [Polynomial(ring, dict(p.terms)) for p in ps]
+
+    cases = [
+        ([small], [wide]),
+        ([wide], [small, cubic]),
+        ([small, top], [cubic]),
+        ([top], [x - y]),
+        ([cubic, wide], [top]),
+    ]
+    for a, b in cases:
+        got = intersect(Ideal(R, a), Ideal(R, b)).generators
+        want = intersect(Ideal(twin, move(a, twin)), Ideal(twin, move(b, twin))).generators
+        assert list(got) == move(want, R)
+    # Coprime principal ideals meet in their product.
+    for f, g in ((small, wide), (top, x - y)):
+        got = groebner_basis(intersect(Ideal(R, [f]), Ideal(R, [g])))
+        assert got.elements == groebner_basis(Ideal(R, [f * g])).elements

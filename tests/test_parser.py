@@ -74,3 +74,10 @@ def test_fixed_point_of_print_parse():
     for src in sources:
         once = parse_poly(src, R)
         assert parse_poly(str(once), R) == once
+
+
+@pytest.mark.parametrize("source, position", [("1/0*x", 2), ("x + 3/00", 6), ("(0/0)", 3)])
+def test_zero_denominator_names_its_position(source, position):
+    with pytest.raises(ParseError, match="zero denominator") as exc:
+        parse_poly(source, R)
+    assert exc.value.position == position

@@ -112,6 +112,29 @@ def test_undefined_poly_is_named():
     assert "missing_poly" in str(exc.value)
 
 
+def test_zero_denominator_in_a_polynomial_is_a_scenario_error():
+    bad = dict(SCENARIO, polys={"f": "1/0*x"})
+    with pytest.raises(ScenarioError, match=r"polynomial 'f': zero denominator \(at position 2\)"):
+        load_scenario(bad)
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ("x^-1", r"generator 'x\^-1': negative exponent \(at position 2\)"),
+        ("2/0", r"generator '2/0': zero denominator"),
+        ("x + w", r"generator 'x \+ w': unknown variable 'w'"),
+        ("nope", "references undefined polynomial 'nope'"),
+    ],
+)
+def test_inline_generator_errors_carry_the_parse_error(item, message):
+    bad = dict(SCENARIO, ideals={"a": [item]}, checks=[])
+    with pytest.raises(ScenarioError, match=message) as exc:
+        load_scenario(bad)
+    if item != "nope":
+        assert "undefined polynomial" not in str(exc.value)
+
+
 def test_wrong_arity_rejected():
     bad = dict(SCENARIO, checks=[{"kind": "colon_equals", "args": ["a", "X"]}])
     with pytest.raises(ScenarioError):
