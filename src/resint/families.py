@@ -3,17 +3,17 @@
 Generic matrices and their minors, skew-symmetric matrices and Pfaffians,
 the bordered matrix of the Gorenstein residual-intersection construction,
 Schubert-cell ideals on Grassmannian big cells, the Gr(2,n) Pluecker model,
-and the bundled E6/E7 datasets loaded from corpus files.
+and the bundled E6/E7 datasets, read from the bundled scenario JSON, their
+only source.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .groebner import Ideal
-from .parser import parse_poly
 from .poly import PolyError, Ring
 
 
@@ -440,80 +440,30 @@ def pluecker_gr2(n):
 # -- bundled datasets --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedIdealSet:
-    ring: Ring
-    polys: dict
-    ideals: dict
+def _bundled(name):
+    """The bundled scenario `name`, the one copy of its dataset."""
+    # Imported here, not at module level, so that importing the families
+    # does not import the scenario runner.
+    from .verify import load_scenario_file
 
-
-class CorpusError(FamilyError):
-    pass
-
-
-def load_corpus(text):
-    """Parse a corpus file: ring/poly/grad/ideal directives, '#' comments."""
-    ring = None
-    polys = {}
-    ideals = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, rest = line.partition(" ")
-        if head == "ring":
-            if ring is not None:
-                raise CorpusError(f"line {lineno}: duplicate ring directive")
-            ring = Ring(rest.split())
-            continue
-        if ring is None:
-            raise CorpusError(f"line {lineno}: {head!r} before ring directive")
-        if head == "poly":
-            name, _, expr = rest.partition("=")
-            name = name.strip()
-            polys[name] = parse_poly(expr, ring)
-        elif head == "grad":
-            name, _, src = rest.partition("=")
-            name, src = name.strip(), src.strip()
-            base = polys.get(src)
-            if base is None:
-                raise CorpusError(f"line {lineno}: grad of undefined poly {src!r}")
-            for i, v in enumerate(ring.variables, 1):
-                polys[f"{name}_{i}"] = base.derivative(v)
-        elif head == "ideal":
-            name, _, items = rest.partition("=")
-            gens = []
-            for item in items.split():
-                gens.append(polys[item] if item in polys else parse_poly(item, ring))
-            ideals[name.strip()] = Ideal(ring, gens)
-        else:
-            raise CorpusError(f"line {lineno}: unknown directive {head!r}")
-    if ring is None:
-        raise CorpusError("corpus has no ring directive")
-    return NamedIdealSet(ring, polys, ideals)
-
-
-def _load_data(filename):
-    return resources.files("resint.data").joinpath(filename).read_text(encoding="utf-8")
+    return load_scenario_file(resources.files("resint.data").joinpath(f"{name}.scenario.json"))
 
 
 def e6_dataset():
-    """The 16-variable dataset with ideals J23, J22, J17, a_1, a_2."""
-    return load_corpus(_load_data("e6.corpus.txt"))
-
-
-E7_I2_READINGS = ("I51", "I3")
+    """The 16-variable scenario, with ideals J23, J22, J17, a_1, a_2."""
+    return _bundled("e6")
 
 
 def e7_dataset(i2="I51"):
-    """The 27-variable dataset; `i2` picks the ideal aliased as I2.
+    """The 27-variable scenario; `i2` picks the ideal aliased as I2.
 
-    The session checks leave I2 undefined; I51 is the reading that
-    reproduces both recorded verdicts (see the dataset verification suite).
+    The session checks leave I2 undefined; I51, the scenario's I2, is the
+    reading that reproduces both recorded verdicts (see the dataset
+    verification suite).
     """
-    ds = load_corpus(_load_data("e7.corpus.txt"))
-    if i2 not in ds.ideals:
+    ds = _bundled("e7")
+    ideals = dict(ds.ideals, I51=ds.ideals["I2"])
+    if i2 not in ideals:
         raise ParameterError(f"unknown I2 alias {i2!r}")
-    ideals = dict(ds.ideals)
     ideals["I2"] = ideals[i2]
-    return NamedIdealSet(ds.ring, ds.polys, ideals)
+    return replace(ds, ideals=ideals)

@@ -2,22 +2,23 @@
 
 The engine works on integer-coefficient term lists (denominators cleared,
 content stripped) so the hot reduction loop never touches Fractions; exact
-rational results are recovered by tracking the accumulated scale.  Reduced
-bases are unique per (ideal, monomial order) and cached on the ideal only,
-in memory; nothing is read from or written to disk.
+rational results are recovered by tracking the accumulated scale.  The
+ring's monomial order is the only order: a reduced basis is unique per
+ideal, and the ideal caches it in one slot, in memory; nothing is read from
+or written to disk.  A basis in another order is the basis of the same
+generators in a ring of that order.
 
 Inside the engine a monomial is the packed int of ``resint.poly``:
 comparing ints compares monomials, the reduction heap holds negated ints,
 multiplying and dividing monomials is adding and subtracting ints, and a
 divides b exactly when ``b - a`` borrows from no guard bit.  Each basis
 computation and each normal form runs at the narrowest of 8 and 16 bits
-that holds its inputs.  A polynomial in the ring's order at that width
-hands its stored keys and integer numerators to the engine as they are;
-only a basis in another order sorts its inputs.  Results leave the same
-way, already descending.  The total degree bounds every field, so an input
-monomial, reduction product, S-polynomial shift or pair lcm of degree
-2**(width - 1) stops the computation: at 8 bits it is redone once at 16, and
-at 16 bits it raises ``GroebnerError`` naming the limit instead of
+that holds its inputs.  A polynomial packed at that width hands its stored
+keys and integer numerators to the engine as they are.  Results leave the
+same way, already descending.  The total degree bounds every field, so an
+input monomial, reduction product, S-polynomial shift or pair lcm of degree
+2**(width - 1) stops the computation: at 8 bits it is redone once at 16,
+and at 16 bits it raises ``GroebnerError`` naming the limit instead of
 wrapping.  A pair's packed lcm is lm(h) plus the packed image of the few
 nonzero exponent fields of lcm / lm(h), by linearity.
 
@@ -46,7 +47,6 @@ from .poly import (
     _width_for,
     mon_div,
     mon_lcm,
-    packer,
 )
 
 
@@ -181,9 +181,7 @@ class _EPoly:
 
 def _int_terms(p, pk):
     """(den, packed integer terms of den * p): p's stored form, its keys
-    packed by pk.  The terms keep p's order, which descends when pk ranks
-    like p's ring.
-    """
+    packed by pk, a packer of p's ring, so the terms stay descending."""
     if p._packer is not pk and p._packer.width > pk.width:
         degree = p.total_degree()
         if degree >= pk.limit:
@@ -192,20 +190,12 @@ def _int_terms(p, pk):
 
 
 def _epoly(p, pk):
-    _, items = _int_terms(p, pk)
-    if pk.order != p.ring.order:
-        items.sort(reverse=True)
-    return _EPoly(_primitive(items), pk.degree)
+    return _EPoly(_primitive(_int_terms(p, pk)[1]), pk.degree)
 
 
 def _int_terms_to_poly(items, ring, pk, denom=1):
-    """The polynomial of packed integer terms descending under pk, over the
-    positive denom.  Terms in another order than the ring's are repacked at
-    the same width, which holds them, and sorted."""
-    if pk.order != ring.order:
-        dec, enc = pk.dec, ring.packer(pk.width).enc
-        items = sorted([(enc(dec(m)), c) for m, c in items], reverse=True)
-        pk = ring.packer(pk.width)
+    """The polynomial of packed integer terms descending under pk, a packer
+    of ring, over the positive denom."""
     return Polynomial._stored(ring, [m for m, _ in items], [c for _, c in items], denom, pk)
 
 
@@ -420,19 +410,22 @@ def _reduce_basis(G, pk, state):
 class GroebnerBasis:
     """Reduced Groebner basis: monic elements, ascending leading monomials."""
 
-    __slots__ = ("ring", "order", "elements", "_engine")
+    __slots__ = ("ring", "elements", "_engine")
 
-    def __init__(self, ring, order, elements):
+    def __init__(self, ring, elements):
         self.ring = ring
-        self.order = order
         self.elements = tuple(elements)
         self._engine = {}
+
+    @property
+    def order(self):
+        return self.ring.order
 
     def engine(self, width):
         """The elements as engine polynomials at `width` bits, kept per width."""
         engine = self._engine.get(width)
         if engine is None:
-            pk = packer(self.order, self.ring.arity, width)
+            pk = self.ring.packer(width)
             engine = self._engine[width] = [_epoly(p, pk) for p in self.elements]
         return engine
 
@@ -441,9 +434,7 @@ class GroebnerBasis:
         return len(self.elements) == 1 and self.elements[0] == self.ring.one()
 
     def leading_monomials(self):
-        if self.order == self.ring.order:
-            return [p.leading_monomial() for p in self.elements]
-        return [p.terms_sorted(self.order)[0][0] for p in self.elements]
+        return [p.leading_monomial() for p in self.elements]
 
     def __len__(self):
         return len(self.elements)
@@ -456,7 +447,8 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """An ideal presented by generators, with cached reduced bases per order."""
+    """An ideal presented by generators, with its reduced basis cached once
+    computed."""
 
     __slots__ = ("ring", "generators", "_gb")
 
@@ -471,10 +463,10 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gb = {}
+        self._gb = None
 
-    def groebner_basis(self, order=None):
-        return groebner_basis(self, order)
+    def groebner_basis(self):
+        return groebner_basis(self)
 
     def __repr__(self):
         return f"<Ideal with {len(self.generators)} generators in {self.ring!r}>"
@@ -483,70 +475,53 @@ class Ideal:
 # -- public operations ----------------------------------------------------
 
 
-def _reduced_basis(ideal, order, width):
-    """The reduced basis elements of `ideal` under `order`, computed at
-    `width` bits."""
+def _reduced_basis(ideal, width):
+    """The reduced basis elements of `ideal`, computed at `width` bits."""
     ring = ideal.ring
     state = _State(ring.arity)
-    pk = packer(order, ring.arity, width)
+    pk = ring.packer(width)
     inputs = [_epoly(g, pk) for g in ideal.generators]
     reduced = _reduce_basis(_buchberger(inputs, pk, state), pk, state)
     return [_int_terms_to_poly(e.terms, ring, pk, denom=e.lc) for e in reduced]
 
 
-def groebner_basis(ideal, order=None):
-    order = order if order is not None else ideal.ring.order
-    cached = ideal._gb.get(order)
-    if cached is not None:
-        return cached
-    try:
-        elements = _reduced_basis(ideal, order, _engine_width(ideal.generators))
-    except _Widen:
-        elements = _reduced_basis(ideal, order, _WIDTH)
-    gb = GroebnerBasis(ideal.ring, order, elements)
-    ideal._gb[order] = gb
+def groebner_basis(ideal):
+    """The reduced basis of `ideal` in its ring's order, computed once."""
+    gb = ideal._gb
+    if gb is None:
+        try:
+            elements = _reduced_basis(ideal, _engine_width(ideal.generators))
+        except _Widen:
+            elements = _reduced_basis(ideal, _WIDTH)
+        gb = ideal._gb = GroebnerBasis(ideal.ring, elements)
     return gb
 
 
-def _remainder(f, engine, ring, pk):
+def _remainder(f, basis, width):
+    ring = basis.ring
+    pk = ring.packer(width)
     num, items = _int_terms(f, pk)
-    rem, scale = _nf(dict(items), engine, pk, _State(ring.arity))
+    rem, scale = _nf(dict(items), basis.engine(width), pk, _State(ring.arity))
     return _int_terms_to_poly(rem, ring, pk, denom=num * scale)
 
 
-def normal_form(f, basis, order=None):
-    """Remainder of f on division by `basis` (a GroebnerBasis or poly list)."""
-    if isinstance(basis, GroebnerBasis):
-        if f.ring != basis.ring:
-            raise RingMismatchError("polynomial and basis from different rings")
-        ring, order, engine = basis.ring, basis.order, basis.engine
-        basis = basis.elements
-    else:
-        basis = [b for b in basis if not b.is_zero()]
-        if not basis:
-            return f
-        ring = basis[0].ring
-        if f.ring != ring or any(b.ring != ring for b in basis):
-            raise RingMismatchError("polynomial and basis from different rings")
-        order = order if order is not None else ring.order
-
-        def engine(width):
-            pk = packer(order, ring.arity, width)
-            return [_epoly(b, pk) for b in basis]
-
+def normal_form(f, basis):
+    """Remainder of f on division by the GroebnerBasis `basis`."""
+    if f.ring != basis.ring:
+        raise RingMismatchError("polynomial and basis from different rings")
     if f.is_zero():
         return f
-    width = _engine_width((*basis, f))
+    width = _engine_width((*basis.elements, f))
     try:
-        return _remainder(f, engine(width), ring, packer(order, ring.arity, width))
+        return _remainder(f, basis, width)
     except _Widen:
-        return _remainder(f, engine(_WIDTH), ring, packer(order, ring.arity, _WIDTH))
+        return _remainder(f, basis, _WIDTH)
 
 
-def is_member(f, ideal, order=None):
+def is_member(f, ideal):
     if f.ring != ideal.ring:
         raise RingMismatchError("polynomial and ideal from different rings")
-    gb = groebner_basis(ideal, order)
+    gb = groebner_basis(ideal)
     if f.is_zero():
         return True
     if not gb.elements:
@@ -554,11 +529,11 @@ def is_member(f, ideal, order=None):
     return normal_form(f, gb).is_zero()
 
 
-def ideals_equal(a, b, order=None):
+def ideals_equal(a, b):
     if a.ring != b.ring:
         raise RingMismatchError("ideals from different rings")
-    ga = groebner_basis(a, order)
-    gb = groebner_basis(b, order)
+    ga = groebner_basis(a)
+    gb = groebner_basis(b)
     return ga.elements == gb.elements
 
 
@@ -584,7 +559,7 @@ def eliminate(ideal, front_vars):
     fwd = [ring.index(v) for v in work_ring.variables]
     back = [work_ring.index(v) for v in ring.variables]
     mapped = Ideal(work_ring, [_map_exponents(g, work_ring, fwd) for g in ideal.generators])
-    gb = groebner_basis(mapped, work_ring.order)
+    gb = groebner_basis(mapped)
     k = len(front)
     out = []
     for p in gb.elements:
@@ -646,7 +621,7 @@ def intersect(a, b):
                 lifted = {m: -c for m, c in lifted.items()}
                 lifted.update({(0,) + m: c for m, c in g.terms})
             work.append(Polynomial(work_ring, lifted))
-    gb = groebner_basis(Ideal(work_ring, work), work_ring.order)
+    gb = groebner_basis(Ideal(work_ring, work))
     out = []
     for p in gb.elements:
         # The top field of a t-ring key is its degree in t, and no term of p
@@ -789,9 +764,9 @@ def _min_hitting_set(supports):
     return best[0]
 
 
-def dimension(ideal, order=None):
+def dimension(ideal):
     """Krull dimension of R/I via independent sets of the leading-term ideal."""
-    gb = groebner_basis(ideal, order)
+    gb = groebner_basis(ideal)
     if gb.is_unit:
         raise UnitIdealError("the unit ideal has no dimension")
     n = ideal.ring.arity
@@ -801,19 +776,18 @@ def dimension(ideal, order=None):
     return n - _min_hitting_set(supports)
 
 
-def codim(ideal, order=None):
+def codim(ideal):
     """Height of a proper ideal: ring arity minus dimension."""
-    return ideal.ring.arity - dimension(ideal, order)
+    return ideal.ring.arity - dimension(ideal)
 
 
-def s_polynomial(f, g, order=None):
-    """The S-polynomial of f and g under `order` (ring order by default)."""
+def s_polynomial(f, g):
+    """The S-polynomial of f and g in their ring's order."""
     if f.ring != g.ring:
         raise RingMismatchError("polynomials from different rings")
     ring = f.ring
-    order = order if order is not None else ring.order
-    lf, cf = f.terms_sorted(order)[0]
-    lg, cg = g.terms_sorted(order)[0]
+    lf, cf = f.terms[0]
+    lg, cg = g.terms[0]
     l = mon_lcm(lf, lg)
     mf = Polynomial(ring, {mon_div(l, lf): 1 / cf})
     mg = Polynomial(ring, {mon_div(l, lg): 1 / cg})
@@ -826,7 +800,7 @@ def certify_basis(gb):
     elems = list(gb.elements)
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
-            if not normal_form(s_polynomial(elems[i], elems[j], gb.order), gb).is_zero():
+            if not normal_form(s_polynomial(elems[i], elems[j]), gb).is_zero():
                 return False
     return True
 

@@ -26,9 +26,9 @@ to degree 127), widens a product that needs it, and repacks narrower when a
 cancellation lowers the degree; a polynomial of degree 2**63 or more raises
 ``DegreeOverflowError``.  ``MonomialOrder.key`` compares monomials that
 belong to no common polynomial, so it always uses 64-bit fields.  The
-Buchberger engine in ``resint.groebner`` runs at the narrowest of 8 and 16
-bits that holds its inputs and takes the keys and numerators of a
-polynomial in its ring's order as they are.
+Buchberger engine in ``resint.groebner`` runs in the ring's order at the
+narrowest of 8 and 16 bits that holds its inputs, and takes a polynomial's
+keys and numerators as they are.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class DegreeOverflowError(PolyError):
     """A monomial's total degree is too large for any packed field width."""
 
 
-Monomial = tuple  # exponent vector, one non-negative int per variable
-
-
 def mon_mul(a, b):
     return tuple(map(add, a, b))
 
@@ -88,10 +85,6 @@ def mon_lcm(a, b):
 
 def mon_gcd(a, b):
     return tuple(x if x < y else y for x, y in zip(a, b))
-
-
-def mon_degree(a):
-    return sum(a)
 
 
 def _grevlex_rows(lo, hi, n):
@@ -467,12 +460,6 @@ class Polynomial:
         if self._keys == (0,):
             return Fraction(self._nums[0], self._den)
         raise PolyError("not a constant polynomial")
-
-    def terms_sorted(self, order):
-        if order == self.ring.order:
-            return list(self.terms)
-        enc = packer(order, self.ring.arity, self._packer.width).enc
-        return sorted(self.terms, key=lambda t: enc(t[0]), reverse=True)
 
     # -- arithmetic ----------------------------------------------------
 

@@ -314,6 +314,13 @@ def test_e7_f27_matches_trailing_terms():
     assert ds.polys["f_27"] == expected
 
 
+def test_e7_f_is_gradient_of_q():
+    ds = e7_dataset()
+    Q = ds.polys["Q"]
+    for i in range(1, 28):
+        assert ds.polys[f"f_{i}"] == Q.derivative(f"x_{i}")
+
+
 def test_e7_euler_identity():
     ds = e7_dataset()
     Q = ds.polys["Q"]

@@ -193,7 +193,7 @@ def test_generator_at_degree_limit_raises():
     with pytest.raises(GroebnerError, match=str(DEGREE_LIMIT - 1)):
         groebner_basis(Ideal(R, [g]))
     with pytest.raises(GroebnerError, match=str(DEGREE_LIMIT - 1)):
-        normal_form(R.var("x"), [g])
+        normal_form(R.var("x"), groebner_basis(Ideal(R, [g])))
     with pytest.raises(GroebnerError, match=str(DEGREE_LIMIT - 1)):
         normal_form(g, groebner_basis(Ideal(R, [R.var("y")])))
 
@@ -205,7 +205,7 @@ def test_product_past_degree_limit_raises():
     # S-polynomial of x^2 and it, produces x*y^(limit-1).
     g = x - R.monomial((0, DEGREE_LIMIT - 1))
     with pytest.raises(GroebnerError, match=str(DEGREE_LIMIT - 1)):
-        normal_form(x * x, [g])
+        normal_form(x * x, groebner_basis(Ideal(R, [g])))
     with pytest.raises(GroebnerError, match=str(DEGREE_LIMIT - 1)):
         groebner_basis(Ideal(R, [x * x, g]))
 
@@ -233,11 +233,22 @@ def test_basis_past_8_bits_is_redone_at_16():
     assert [p._packer.width for p in gb] == [16, 8]
 
 
+def test_spoly_shift_past_8_bits_is_redone_at_16():
+    R = _lex_xy()
+    x, y = R.gens()
+    # Both inputs and their lcm x*y^100 pack at 8 bits; the S-polynomial's
+    # shifted tail term y^130 does not.
+    gb = groebner_basis(Ideal(R, [x + y**100, x * y**30]))
+    assert gb.elements == (y**130, x + y**100)
+    assert [p._packer.width for p in gb] == [16, 8]
+
+
 def test_normal_form_past_8_bits_is_redone_at_16():
     R = _lex_xy()
     x, y = R.gens()
     g = x - y**127
-    assert normal_form(x * x, [g]) == y**254
+    # A fresh basis first used past 8 bits, and one used at 8 bits first.
+    assert normal_form(x * x, groebner_basis(Ideal(R, [g]))) == y**254
     basis = groebner_basis(Ideal(R, [g]))
     # First used at 8 bits, then widened for x^2.
     assert normal_form(x * y, basis) == y**128
