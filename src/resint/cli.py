@@ -9,10 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from . import combinat, families, groebner
+from . import groebner
 from .groebner import (
     GroebnerError,
     Ideal,
@@ -26,7 +25,7 @@ from .groebner import (
 )
 from .parser import parse_poly
 from .poly import PolyError, Ring, order_from_tag
-from .verify import ScenarioError, load_scenario_file, run_scenario
+from .verify import ScenarioError, bundled_scenario_path, load_scenario_file, run_scenario
 
 FAMILIES = (
     "typeA-left",
@@ -94,12 +93,7 @@ def _build_parser():
 def _resolve_scenario_path(path):
     if path.exists():
         return path
-    from importlib import resources
-
-    bundled = resources.files("resint.data").joinpath(f"{path.name}.scenario.json")
-    if path.name in ("e6", "e7") and bundled.is_file():
-        return bundled
-    return path
+    return bundled_scenario_path(path.name) or path
 
 
 def _cmd_verify(args):
@@ -109,9 +103,8 @@ def _cmd_verify(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.exact:
-        scenario = replace(
-            scenario,
-            checks=tuple(replace(c, containment_only=False) for c in scenario.checks),
+        scenario = scenario._replace(
+            checks=tuple(c._replace(containment_only=False) for c in scenario.checks)
         )
     report = run_scenario(scenario)
     width = max((len(r.name) for r in report.checks), default=4)
@@ -144,6 +137,9 @@ def _require(args, names):
 
 
 def _family_generators(args):
+    # Imported here so that `resint verify` does not load the families.
+    from . import families
+
     name = args.name
     if name == "typeA-left":
         _require(args, ["k", "n", "s"])
@@ -223,6 +219,8 @@ def _cmd_op(args):
 
 
 def _cmd_graph(args):
+    from . import combinat
+
     try:
         if args.kind == "gk":
             g = combinat.build_gk(combinat.dynkin(args.type, args.rank), args.k)

@@ -10,8 +10,6 @@ only source.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from importlib import resources
 
 from .groebner import Ideal
 from .poly import PolyError, Ring
@@ -48,10 +46,14 @@ def _grid_name(prefix, i, j, wide):
 # -- generic matrices and minors ------------------------------------------
 
 
-@dataclass(frozen=True)
 class GenericMatrix:
-    ring: Ring
-    entries: tuple
+    """A matrix over a ring, as a tuple of row tuples."""
+
+    __slots__ = ("ring", "entries")
+
+    def __init__(self, ring, entries):
+        self.ring = ring
+        self.entries = entries
 
     @property
     def rows(self):
@@ -380,11 +382,15 @@ def typeA_right_chain(k, n, upto, cell=None):
 # -- Gr(2, n) Pluecker model ------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Gr2Model:
-    n: int
-    ring: Ring
-    relations: tuple
+    """The Gr(2, n) coordinate ring and its Pluecker relations."""
+
+    __slots__ = ("n", "ring", "relations")
+
+    def __init__(self, n, ring, relations):
+        self.n = n
+        self.ring = ring
+        self.relations = relations
 
     def coordinate(self, s, t):
         return self.ring.var(f"p_{s}{t}")
@@ -444,9 +450,9 @@ def _bundled(name):
     """The bundled scenario `name`, the one copy of its dataset."""
     # Imported here, not at module level, so that importing the families
     # does not import the scenario runner.
-    from .verify import load_scenario_file
+    from .verify import bundled_scenario_path, load_scenario_file
 
-    return load_scenario_file(resources.files("resint.data").joinpath(f"{name}.scenario.json"))
+    return load_scenario_file(bundled_scenario_path(name))
 
 
 def e6_dataset():
@@ -466,4 +472,4 @@ def e7_dataset(i2="I51"):
     if i2 not in ideals:
         raise ParameterError(f"unknown I2 alias {i2!r}")
     ideals["I2"] = ideals[i2]
-    return replace(ds, ideals=ideals)
+    return ds._replace(ideals=ideals)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd
@@ -93,9 +92,37 @@ def _grevlex_rows(lo, hi, n):
     return [tuple(1 if lo <= v < hi - r else 0 for v in range(n)) for r in range(hi - lo)]
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
-    """Base class; subclasses give the 0/1 weight rows that rank monomials."""
+    """Base class; subclasses give the 0/1 weight rows that rank monomials.
+
+    An order is an immutable value: two orders are equal, and hash alike,
+    when they have one type and equal fields (``_fields``).
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.__class__.__name__,) + self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable order")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable order")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}()"
 
     def weight_rows(self, n):
         """n rows of n 0/1 weights, highest first.  Monomials rank by their
@@ -123,8 +150,9 @@ class MonomialOrder:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Lex(MonomialOrder):
+    __slots__ = ()
+
     def weight_rows(self, n):
         return [tuple(1 if v == r else 0 for v in range(n)) for r in range(n)]
 
@@ -133,8 +161,9 @@ class Lex(MonomialOrder):
         return "lex"
 
 
-@dataclass(frozen=True)
 class GrevLex(MonomialOrder):
+    __slots__ = ()
+
     def weight_rows(self, n):
         return _grevlex_rows(0, n, n)
 
@@ -143,13 +172,21 @@ class GrevLex(MonomialOrder):
         return "grevlex"
 
 
-@dataclass(frozen=True)
 class BlockElim(MonomialOrder):
     """Elimination order: grevlex on the first `front` variables, then grevlex
     on the tail.  Any monomial touching a front variable beats any that does not.
     """
 
-    front: int
+    __slots__ = ("front",)
+
+    def __init__(self, front):
+        object.__setattr__(self, "front", front)
+
+    def _fields(self):
+        return (self.front,)
+
+    def __repr__(self):
+        return f"BlockElim(front={self.front!r})"
 
     def weight_rows(self, n):
         f = min(self.front, n)

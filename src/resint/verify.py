@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .groebner import (
     GroebnerError,
@@ -53,66 +53,35 @@ class ScenarioError(PolyError):
     pass
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    kind: str
-    args: tuple
-    expect: bool = True
-    containment_only: bool = False
+# Plain records, not dataclasses: ``dataclasses`` imports ``inspect`` and
+# more, a cost every ``resint verify`` run would pay at start-up.
+Check = namedtuple(
+    "Check", "name kind args expect containment_only", defaults=(True, False)
+)
+Scenario = namedtuple("Scenario", "name ring polys ideals checks")
+# verdict is one of pass | fail | error | partial.
+CheckResult = namedtuple("CheckResult", "name kind verdict values millis")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    ring: Ring
-    polys: dict
-    ideals: dict
-    checks: tuple
-
-
-@dataclass
-class CheckResult:
-    name: str
-    kind: str
-    verdict: str  # pass | fail | error | partial
-    values: dict
-    millis: int
-
-
-@dataclass
 class Report:
-    scenario: str
-    checks: list
-    summary: dict = field(default_factory=dict)
+    """A scenario's check results, in input order, and their verdict counts."""
 
-    def finish(self):
-        counts = {"pass": 0, "fail": 0, "error": 0, "partial": 0}
-        for r in self.checks:
-            counts[r.verdict] += 1
-        self.summary = counts
-        return self
+    def __init__(self, scenario, checks):
+        self.scenario = scenario
+        self.checks = checks
+        self.summary = {"pass": 0, "fail": 0, "error": 0, "partial": 0}
+        for r in checks:
+            self.summary[r.verdict] += 1
 
     @property
     def all_passed(self):
-        return self.summary.get("fail", 0) == 0 and self.summary.get(
-            "error", 0
-        ) == 0 and self.summary.get("partial", 0) == 0
+        return self.summary["pass"] == len(self.checks)
 
     def to_dict(self):
         return {
             "format": FORMAT_VERSION,
             "scenario": self.scenario,
-            "checks": [
-                {
-                    "name": r.name,
-                    "kind": r.kind,
-                    "verdict": r.verdict,
-                    "values": r.values,
-                    "millis": r.millis,
-                }
-                for r in self.checks
-            ],
+            "checks": [r._asdict() for r in self.checks],
             "summary": self.summary,
         }
 
@@ -214,6 +183,14 @@ def load_scenario_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return load_scenario(data, name=str(path))
+
+
+def bundled_scenario_path(name):
+    """The packaged scenario file `name` (e6, e7), or None if there is none."""
+    from importlib import resources
+
+    path = resources.files("resint.data").joinpath(f"{name}.scenario.json")
+    return path if path.is_file() else None
 
 
 # -- individual checks ---------------------------------------------------------
@@ -341,4 +318,4 @@ def _run_check(scenario, check):
 
 def run_scenario(scenario):
     """Execute all checks; report entries preserve input order."""
-    return Report(scenario.name, [_run_check(scenario, c) for c in scenario.checks]).finish()
+    return Report(scenario.name, [_run_check(scenario, c) for c in scenario.checks])

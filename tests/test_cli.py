@@ -1,11 +1,17 @@
 """CLI surface: subcommands, exit codes, and byte-deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from resint.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _data(name):
@@ -58,6 +64,28 @@ def test_verify_missing_file_exits_two(capsys):
 def test_verify_resolves_bundled_names(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--json", str(tmp_path / "r.json"), "verify", "e6"]) == 0
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        ("resint.cli", {"resint.families", "resint.combinat", "dataclasses"}),
+        ("resint.families", {"dataclasses", "resint.verify"}),
+    ],
+)
+def test_import_loads_only_what_it_runs(module, absent):
+    # A fresh interpreter; only the modules the import adds count, so one
+    # that the environment loads at start-up does not fail the test.
+    code = (
+        "import sys; before = set(sys.modules); import " + module
+        + "; print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert module in out.split()
+    assert absent.isdisjoint(out.split())
 
 
 def test_verify_check_error_exits_two(tmp_path):
@@ -176,13 +204,22 @@ def test_exact_flag_upgrades_partial(tmp_path):
         "polys": {},
         "ideals": {"a": ["x*y"], "X": ["x"], "Y": ["y"]},
         "checks": [
-            {"kind": "colon_equals", "args": ["a", "X", "Y"], "mode": "containment-only"}
+            {"kind": "colon_equals", "args": ["a", "X", "Y"], "mode": "containment-only"},
+            {"kind": "ideal_equals", "args": ["X", "X"]},
+            {"kind": "colon_equals", "args": ["a", "Y", "X"], "mode": "containment-only"},
         ],
     }
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
-    assert main(["--json", str(tmp_path / "r1.json"), "verify", str(path)]) == 1
-    assert main(["--json", str(tmp_path / "r2.json"), "verify", str(path), "--exact"]) == 0
+    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["--json", str(r1), "verify", str(path)]) == 1
+    assert main(["--json", str(r2), "verify", str(path), "--exact"]) == 0
+    # --exact turns every containment-only check into an exact one.
+    partial = ("partial", ["product_in_A", "samples_in_K"])
+    exact = ("pass", ["equal"])
+    for report, expected in ((r1, [partial, exact, partial]), (r2, [exact] * 3)):
+        checks = json.loads(report.read_text())["checks"]
+        assert [(c["verdict"], sorted(c["values"])) for c in checks] == expected
 
 
 def test_max_reductions_holds_for_one_call_only(capsys):

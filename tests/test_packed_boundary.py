@@ -29,6 +29,7 @@ from resint import (
     ideals_equal,
     intersect,
     normal_form,
+    order_from_tag,
     quotient,
 )
 from resint.groebner import exact_divide
@@ -98,6 +99,29 @@ def test_exact_divide_rejects_non_multiples(order, data):
     else:
         with pytest.raises(PolyError, match="not an exact multiple"):
             exact_divide(g, f)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_equal_orders_share_rings_and_packers(order):
+    """An equal order built apart gives an equal ring, the same packers and
+    polynomials that mix with the first ring's; a different order does not."""
+    twin = order_from_tag(order.tag)
+    assert twin is not order and twin == order and hash(twin) == hash(order)
+    ring, twin_ring = _ring(order), _ring(twin)
+    assert twin_ring == ring and hash(twin_ring) == hash(ring)
+    for width in FIELD_WIDTHS:
+        assert twin_ring.packer(width) is ring.packer(width)
+    assert ring.var("x") + twin_ring.var("y") == parse_poly("x + y", ring)
+    for other in ORDERS:
+        if other is not order:
+            assert other != order
+            assert _ring(other) != ring
+    assert repr(order) == {
+        "lex": "Lex()",
+        "grevlex": "GrevLex()",
+        "block:1": "BlockElim(front=1)",
+        "block:2": "BlockElim(front=2)",
+    }[order.tag]
 
 
 def test_exact_divide_examples():

@@ -16,6 +16,7 @@ from resint import (
     Ring,
     RingMismatchError,
     compare_monomials,
+    order_from_tag,
     parse_poly,
 )
 from resint.poly import ArityMismatchError, euler_pairing, mon_divides
@@ -59,6 +60,33 @@ def test_order_laws(a, b, c, order):
     # refines divisibility
     if mon_divides(a, b) and a != b:
         assert cab == -1
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+def test_order_is_an_immutable_value(order):
+    twin = order_from_tag(order.tag)
+    assert twin is not order
+    assert twin == order
+    assert hash(twin) == hash(order)
+    for field in ("front", "tag", "other"):
+        with pytest.raises(AttributeError):
+            setattr(order, field, 5)
+        with pytest.raises(AttributeError):
+            delattr(order, field)
+    assert order == twin
+    assert repr(order) == {
+        "lex": "Lex()",
+        "grevlex": "GrevLex()",
+        "block:3": "BlockElim(front=3)",
+    }[order.tag]
+
+
+def test_orders_of_other_type_or_fields_differ():
+    assert Lex() != GrevLex()
+    assert GrevLex() != BlockElim(0)
+    assert BlockElim(1) != BlockElim(2)
+    assert BlockElim(1) == BlockElim(1)
+    assert len({Lex(), GrevLex(), BlockElim(0), BlockElim(1), BlockElim(2)}) == 5
 
 
 @st.composite
