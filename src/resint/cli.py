@@ -4,8 +4,6 @@ Groebner operations, export graphs as DOT.
 Exit codes: 0 all checks pass, 1 any check fails or is partial, 2 errors.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys

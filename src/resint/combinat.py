@@ -2,8 +2,6 @@
 Bruhat order, Pfaffian labels, and DOT export.
 """
 
-from __future__ import annotations
-
 import itertools
 from dataclasses import dataclass
 

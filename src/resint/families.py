@@ -7,8 +7,6 @@ and the bundled E6/E7 datasets, read from the bundled scenario JSON, their
 only source.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .groebner import Ideal

@@ -12,15 +12,16 @@ Inside the engine a monomial is the packed int of ``resint.poly``:
 comparing ints compares monomials, the reduction heap holds negated ints,
 multiplying and dividing monomials is adding and subtracting ints, and a
 divides b exactly when ``b - a`` borrows from no guard bit.  Each basis
-computation and each normal form runs at the narrowest of 8 and 16 bits
-that holds its inputs.  A polynomial packed at that width hands its stored
-keys and integer numerators to the engine as they are.  Results leave the
-same way, already descending.  The total degree bounds every field, so an
-input monomial, reduction product, S-polynomial shift or pair lcm of degree
-2**(width - 1) stops the computation: at 8 bits it is redone once at 16,
-and at 16 bits it raises ``GroebnerError`` naming the limit instead of
-wrapping.  A pair's packed lcm is lm(h) plus the packed image of the few
-nonzero exponent fields of lcm / lm(h), by linearity.
+computation and each normal form runs at the widest width of its inputs, 8
+or 16 bits, so every polynomial hands its stored keys and integer
+numerators to the engine as they are.  Results leave the same way, already
+descending.  The total degree bounds every field, so a reduction product,
+S-polynomial shift or pair lcm of degree 2**(width - 1) stops the
+computation: at 8 bits it is redone once at 16, and at 16 bits, where
+``resint.poly.DEGREE_LIMIT`` is reached, it raises ``GroebnerError`` naming
+the limit instead of wrapping.  A pair's packed lcm is lm(h) plus the
+packed image of the few nonzero exponent fields of lcm / lm(h), by
+linearity.
 
 In a grevlex ring ``intersect`` lifts its inputs into the ``t``-ring, and
 strips ``t`` from its outputs, on the packed keys, which keep their order,
@@ -29,13 +30,12 @@ largest degree plus one for ``t``.  ``exact_divide`` divides on packed ints
 and integer numerators with a heap.
 """
 
-from __future__ import annotations
-
 import heapq
 from math import gcd
 
 from .parser import parse_poly
 from .poly import (
+    DEGREE_LIMIT,
     FIELD_WIDTHS,
     BlockElim,
     GrevLex,
@@ -112,18 +112,13 @@ class _State:
 
 # -- packed monomials -----------------------------------------------------
 
-# DEGREE_LIMIT is the exclusive bound on the total degree of any monomial at
-# the widest engine width; it keeps the top bit of every field clear.
-_WIDTH = 16
-DEGREE_LIMIT = 1 << (_WIDTH - 1)
-
 
 class _Widen(Exception):
-    """A degree reached the limit of a narrower engine width than _WIDTH."""
+    """A degree reached the limit of an engine width narrower than the widest."""
 
 
 def _degree_error(degree, pk):
-    if pk.width < _WIDTH:
+    if pk.width < FIELD_WIDTHS[-1]:
         return _Widen()
     return GroebnerError(
         f"monomial of total degree {degree} exceeds the engine limit of "
@@ -133,8 +128,8 @@ def _degree_error(degree, pk):
 
 def _engine_width(polys):
     """The engine width for polynomials packed as these are: the widest of
-    their widths, at most _WIDTH."""
-    return min(_WIDTH, max([p._packer.width for p in polys], default=FIELD_WIDTHS[0]))
+    their widths."""
+    return max([p._packer.width for p in polys], default=FIELD_WIDTHS[0])
 
 
 # -- engine polynomials -------------------------------------------------
@@ -181,11 +176,8 @@ class _EPoly:
 
 def _int_terms(p, pk):
     """(den, packed integer terms of den * p): p's stored form, its keys
-    packed by pk, a packer of p's ring, so the terms stay descending."""
-    if p._packer is not pk and p._packer.width > pk.width:
-        degree = p.total_degree()
-        if degree >= pk.limit:
-            raise _degree_error(degree, pk)
+    packed by pk, a packer of p's ring at least as wide as p's, so the terms
+    stay descending."""
     return p._den, list(zip(p._packed(pk), p._nums))
 
 
@@ -492,7 +484,7 @@ def groebner_basis(ideal):
         try:
             elements = _reduced_basis(ideal, _engine_width(ideal.generators))
         except _Widen:
-            elements = _reduced_basis(ideal, _WIDTH)
+            elements = _reduced_basis(ideal, FIELD_WIDTHS[-1])
         gb = ideal._gb = GroebnerBasis(ideal.ring, elements)
     return gb
 
@@ -515,7 +507,7 @@ def normal_form(f, basis):
     try:
         return _remainder(f, basis, width)
     except _Widen:
-        return _remainder(f, basis, _WIDTH)
+        return _remainder(f, basis, FIELD_WIDTHS[-1])
 
 
 def is_member(f, ideal):

@@ -12,8 +12,6 @@ Whitespace is insignificant.  NUMBER extends INT with an optional '/INT'
 denominator so that printed monic Groebner elements round-trip.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .poly import Polynomial, PolyError, UnknownVariableError

@@ -21,17 +21,14 @@ guard bit (the top bit of each exponent and degree field).
 
 Every field is at most the total degree, so a field width of w bits is exact
 while the total degree stays below 2**(w - 1).  A polynomial packs its terms
-at the narrowest of 8, 16, 32 and 64 bits that holds its degree (8 bits up
-to degree 127), widens a product that needs it, and repacks narrower when a
-cancellation lowers the degree; a polynomial of degree 2**63 or more raises
-``DegreeOverflowError``.  ``MonomialOrder.key`` compares monomials that
-belong to no common polynomial, so it always uses 64-bit fields.  The
-Buchberger engine in ``resint.groebner`` runs in the ring's order at the
-narrowest of 8 and 16 bits that holds its inputs, and takes a polynomial's
-keys and numerators as they are.
+at the narrower of 8 and 16 bits that holds its degree (8 bits up to degree
+127), widens a product that needs it, and repacks narrower when a
+cancellation lowers the degree.  ``DEGREE_LIMIT``, 2**15, is the one degree
+limit of the package: a polynomial, product, power or ``MonomialOrder.key``
+of that degree or more raises ``DegreeOverflowError``.  The Buchberger
+engine in ``resint.groebner`` runs in the ring's order at the widest width
+of its inputs, and takes a polynomial's keys and numerators as they are.
 """
-
-from __future__ import annotations
 
 import functools
 import struct
@@ -58,7 +55,7 @@ class UnknownVariableError(PolyError):
 
 
 class DegreeOverflowError(PolyError):
-    """A monomial's total degree is too large for any packed field width."""
+    """A monomial's total degree is DEGREE_LIMIT or more."""
 
 
 def mon_mul(a, b):
@@ -130,7 +127,7 @@ class MonomialOrder:
         raise NotImplementedError
 
     def key(self, m):
-        """The packed int of m at 64-bit fields: larger int, larger monomial."""
+        """The packed int of m at the widest fields: larger int, larger monomial."""
         _width_for(_max_degree([m]))
         return packer(self, len(m), FIELD_WIDTHS[-1]).enc(m)
 
@@ -213,8 +210,11 @@ def compare_monomials(order, a, b):
 
 # -- packed monomials -----------------------------------------------------
 
-FIELD_WIDTHS = (8, 16, 32, 64)
-_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+FIELD_WIDTHS = (8, 16)
+_STRUCT_CODES = {8: "B", 16: "H"}
+# The exclusive bound on the total degree of every monomial: it keeps the
+# top bit of every field at the widest width clear.
+DEGREE_LIMIT = 1 << (FIELD_WIDTHS[-1] - 1)
 
 
 class Packer:
@@ -297,10 +297,7 @@ def _width_for(degree):
     for width in FIELD_WIDTHS:
         if degree >> (width - 1) == 0:
             return width
-    raise DegreeOverflowError(
-        f"total degree {degree} does not fit the widest packed fields "
-        f"({FIELD_WIDTHS[-1]} bits)"
-    )
+    raise DegreeOverflowError(f"total degree {degree} exceeds the limit of {DEGREE_LIMIT - 1}")
 
 
 class Ring:
@@ -590,6 +587,9 @@ class Polynomial:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise PolyError("exponent must be a non-negative integer")
+        if self._keys:
+            # Refuse before squaring, so the error names the degree asked for.
+            _width_for(self.total_degree() * n)
         result = self.ring.one()
         base = self
         while n:

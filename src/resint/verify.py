@@ -8,8 +8,6 @@ entries stay in input order, and engine failures are recorded per check
 rather than aborting the run.
 """
 
-from __future__ import annotations
-
 import json
 import time
 from collections import namedtuple

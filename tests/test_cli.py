@@ -149,18 +149,36 @@ def test_op_zero_denominator_exits_two(capsys):
     assert "zero denominator (at position 2)" in capsys.readouterr().err
 
 
-def test_verify_zero_denominator_in_scenario_exits_two(tmp_path, capsys):
+def _verify_one_poly(tmp_path, source):
+    """Exit code of `resint verify` on a scenario whose one polynomial is
+    `source`."""
     doc = {
         "format": 1,
         "ring": {"vars": ["x", "y"]},
-        "polys": {"f": "1/0*x"},
+        "polys": {"f": source},
         "ideals": {"I": ["f"]},
         "checks": [{"kind": "ideal_equals", "args": ["I", "I"]}],
     }
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
-    assert main(["--json", str(tmp_path / "r.json"), "verify", str(path)]) == 2
+    return main(["--json", str(tmp_path / "r.json"), "verify", str(path)])
+
+
+def test_verify_zero_denominator_in_scenario_exits_two(tmp_path, capsys):
+    assert _verify_one_poly(tmp_path, "1/0*x") == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_verify_scenario_past_degree_limit_exits_two(tmp_path, capsys):
+    assert _verify_one_poly(tmp_path, "x^40000 - y") == 2
+    err = capsys.readouterr().err
+    assert "polynomial 'f': total degree 40000 exceeds the limit of 32767" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_op_gb_past_degree_limit_exits_two(capsys):
+    assert main(["op", "gb", "--ring", "x,y", "--gens", "x^40000 - y"]) == 2
+    assert "32767" in capsys.readouterr().err
 
 
 def test_op_gb_past_8_bits(capsys):

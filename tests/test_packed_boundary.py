@@ -243,14 +243,14 @@ def test_stored_form_is_canonical(order, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_width_is_canonical_after_cancellation(order, data):
-    """A sum packed at 32 bits whose high-degree terms cancel equals, and
+    """A sum packed at 16 bits whose high-degree terms cancel equals, and
     hashes like, the same polynomial built at the narrowest width."""
     ring = _ring(order)
     f = data.draw(_polys(ring, 4, 3))
-    high = data.draw(st.integers(1 << 15, (1 << 31) - 8))
+    high = data.draw(st.integers(1 << 7, (1 << 15) - 8))
     big = Polynomial(ring, {(high, 0, 1): 2, (1, high, 0): Fraction(-1, 3)})
     wide = f + big
-    assert wide._packer.width == 32
+    assert wide._packer.width == 16
     narrow = Polynomial(ring, dict(f.terms))
     assert narrow._packer.width == FIELD_WIDTHS[0]
     for s in (wide - big, wide + big.scale(-1), (big + f) - big):

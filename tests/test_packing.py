@@ -6,7 +6,7 @@ every arity the bundled datasets use and for exponents up to the limit of
 each engine width, 8 and 16 bits.  An 8-bit computation whose degree reaches
 128 is redone at 16 bits; at 16 bits the engine raises at or past its limit
 rather than wrapping.  A `Polynomial` packs at a width that holds its
-degree, or raises.
+degree, or raises when the degree reaches the limit.
 """
 
 from fractions import Fraction
@@ -120,8 +120,8 @@ def test_pack_multiply_lcm_and_divisibility(width, case, data):
 
 # -- wide polynomials ------------------------------------------------------
 
-# At, just past and far past each field width, plus the first degree that no
-# width holds.
+# At, just past and far past each field width; from 2**15 on, past the
+# degree limit.
 WIDE_DEGREES = [
     2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**16, 2**31 + 3, 2**40, 2**63 - 1, 2**63, 2**70
 ]
@@ -141,7 +141,7 @@ def test_wide_polynomials_order_terms_or_raise(top, case, data):
     ms = {tuple(heavy)} | {tuple(m) for m in data.draw(st.lists(mono, max_size=6))}
     coeffs = {m: 1 + i for i, m in enumerate(sorted(ms))}
     degree = max(map(sum, ms))
-    if degree >= 2**63:
+    if degree >= DEGREE_LIMIT:
         with pytest.raises(DegreeOverflowError):
             Polynomial(ring, coeffs)
         return
@@ -161,7 +161,7 @@ def test_wide_polynomials_order_terms_or_raise(top, case, data):
     assert rest == small
     assert rest._packer.width == small._packer.width == FIELD_WIDTHS[0]
     # Products add keys while they fit, then widen, then raise.
-    if 2 * degree >= 2**63:
+    if 2 * degree >= DEGREE_LIMIT:
         with pytest.raises(DegreeOverflowError):
             p * p
         return
@@ -189,13 +189,14 @@ def _lex_xy():
 def test_generator_at_degree_limit_raises():
     R = _lex_xy()
     half = DEGREE_LIMIT // 2
-    g = R.monomial((half, half)) - R.var("y")
-    with pytest.raises(GroebnerError, match=str(DEGREE_LIMIT - 1)):
-        groebner_basis(Ideal(R, [g]))
-    with pytest.raises(GroebnerError, match=str(DEGREE_LIMIT - 1)):
-        normal_form(R.var("x"), groebner_basis(Ideal(R, [g])))
-    with pytest.raises(GroebnerError, match=str(DEGREE_LIMIT - 1)):
-        normal_form(g, groebner_basis(Ideal(R, [R.var("y")])))
+    # No generator, and no key, of degree DEGREE_LIMIT can be built.
+    with pytest.raises(DegreeOverflowError, match=str(DEGREE_LIMIT - 1)):
+        R.monomial((half, half)) - R.var("y")
+    for order in (Lex(), GrevLex(), BlockElim(1)):
+        with pytest.raises(DegreeOverflowError, match=str(DEGREE_LIMIT - 1)):
+            order.key((half, half))
+        with pytest.raises(DegreeOverflowError, match=str(DEGREE_LIMIT - 1)):
+            order.compare((half, half), (0, 1))
 
 
 def test_product_past_degree_limit_raises():

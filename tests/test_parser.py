@@ -4,6 +4,7 @@ import pytest
 
 from resint import ParseError, Ring, UnknownVariableError, parse_poly
 from resint.parser import NegativeExponentError
+from resint.poly import DegreeOverflowError
 
 R = Ring(["x", "y"])
 
@@ -81,3 +82,11 @@ def test_zero_denominator_names_its_position(source, position):
     with pytest.raises(ParseError, match="zero denominator") as exc:
         parse_poly(source, R)
     assert exc.value.position == position
+
+
+@pytest.mark.parametrize("exponent", [40000, 10**27])
+def test_power_past_degree_limit_names_its_degree(exponent):
+    with pytest.raises(DegreeOverflowError) as exc:
+        parse_poly(f"x^{exponent}", R)
+    assert f"total degree {exponent} " in str(exc.value)
+    assert "32767" in str(exc.value)

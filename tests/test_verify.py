@@ -125,6 +125,8 @@ def test_zero_denominator_in_a_polynomial_is_a_scenario_error():
         ("2/0", r"generator '2/0': zero denominator"),
         ("x + w", r"generator 'x \+ w': unknown variable 'w'"),
         ("nope", "references undefined polynomial 'nope'"),
+        ("x^40000 - y",
+         r"generator 'x\^40000 - y': total degree 40000 exceeds the limit of 32767"),
     ],
 )
 def test_inline_generator_errors_carry_the_parse_error(item, message):
