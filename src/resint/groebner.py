@@ -277,6 +277,20 @@ def _spoly_terms(f, g, lcm, pk):
 # -- Buchberger ----------------------------------------------------------
 
 
+def _monomial_content(items, pk):
+    """Exponent fields of the gcd of the monomials of the packed terms
+    `items`: their fieldwise minimum, given up once it is trivial."""
+    guard, exps, top = pk.guard, pk.exps, pk.width - 1
+    c = exps  # every exponent field at its largest value
+    for m, _ in items:
+        b = m & exps
+        ge = ((c | guard) - b) & guard  # guard bit set where c's field >= b's
+        c ^= (c ^ b) & (ge - (ge >> top))
+        if not c:
+            break
+    return c
+
+
 def _buchberger(inputs, pk, state):
     """Return a (not yet reduced) Groebner basis of the input _EPolys.
 
@@ -287,7 +301,15 @@ def _buchberger(inputs, pk, state):
     (Becker-Weispfenning's UPDATE), incrementally: the new pairs (h, g) are
     grouped by lcm, a group holding a coprime pair yields nothing, and
     otherwise its first g yields one pair, provided no other new lcm
-    properly divides it; these are pushed onto the heap.  An old pair goes
+    properly divides it; these are pushed onto the heap.  A pair counts as
+    coprime when u = gcd(lm h, lm g) divides the monomial contents (the gcd
+    of all terms) of both h and g.  Then h = u*h' and g = u*g' with lm h'
+    and lm g' coprime, so S(h, g) = u*S(h', g'), and the product-criterion
+    identity S(h', g') = tail(g')*h' - tail(h')*g' (monic h', g'), times u,
+    is a standard representation of S(h, g) by h and g; u = 1 is Buchberger's
+    product criterion itself.  In the t-ring of ``intersect`` every element
+    that comes from t*a has t in all its terms, so its pairs whose leading
+    monomials share only t are dropped, not reduced to zero.  An old pair goes
     when lm(h) divides its lcm and neither of its lcms with h equals it;
     only then is the queue rebuilt and re-heapified.  The heap is ordered by
     (sugar, packed lcm, seq): sugar selection.  The criteria compare lcms by
@@ -295,7 +317,10 @@ def _buchberger(inputs, pk, state):
     divisor is always a smaller int.  The exponent fields of every basis
     element are kept beside G, and of both partners in each queue entry, so
     no lcm needs a leading monomial unpacked; the new pairs' lcms are the
-    guard-bit max of ``Packer.lcm_exps`` inlined.
+    guard-bit max of ``Packer.lcm_exps`` inlined.  Each element's content
+    is found once, when it is inserted, and kept beside G too; the gcd of
+    two leading monomials is the guard-bit min of their exponent fields, and
+    it divides a content when subtracting it borrows from no guard bit.
     """
     guard = pk.guard
     exps = pk.exps
@@ -306,6 +331,7 @@ def _buchberger(inputs, pk, state):
     top = pk.width - 1
     G = []
     E = []  # exponent fields of G's leading monomials
+    C = []  # exponent fields of G's monomial contents
     P = []
     seq = 0
 
@@ -314,13 +340,18 @@ def _buchberger(inputs, pk, state):
         hlm = h.lm
         hexp = hlm & exps
         high = hexp | guard
+        hc = _monomial_content(h.terms, pk)
         first = {}
         coprime = set()
         for i, gexp in enumerate(E):
             ge = (high - gexp) & guard  # guard bit set where h's field >= g's
-            l = gexp ^ ((hexp ^ gexp) & (ge - (ge >> top)))
+            sel = (hexp ^ gexp) & (ge - (ge >> top))
+            l = gexp ^ sel  # lcm(lm h, lm g)
             first.setdefault(l, i)
-            if l == hexp + gexp:
+            # u = gcd(lm h, lm g) divides both contents (u = 1 always does):
+            # a coprime pair times u.
+            u = hexp ^ sel
+            if not u or hc and not ((hc - u) | (C[i] - u)) & guard:
                 coprime.add(l)
         # B-criterion, by seq.  Entries are (sugar, packed lcm, seq, f, g,
         # lcm, exponents of f, exponents of g).
@@ -364,6 +395,7 @@ def _buchberger(inputs, pk, state):
         state.check_pairs(len(P))
         G.append(h)
         E.append(hexp)
+        C.append(hc)
 
     for p in sorted(inputs, key=lambda p: (p.sugar, p.terms)):
         r, _ = _nf(dict(p.terms), G, pk, state)
@@ -383,19 +415,30 @@ def _reduce_basis(G, pk, state):
 
     No other leading monomial of a minimal basis divides lm(g), so only g's
     tail is reduced; its leading term comes back as lc(g) times the scale
-    of that reduction.
+    of that reduction.  `G` is in insertion order, and ``_buchberger`` left
+    each element fully reduced against every element before it.  So only a
+    leading monomial inserted later divides lm(g), and minimalization looks
+    at those alone; and a tail term of g is reachable only by a later
+    leading monomial no larger than g's largest tail term.  An element that
+    no such monomial reaches is already reduced and is kept as it is.
     """
     guard = pk.guard
-    Gs = sorted(G, key=lambda g: g.lm)
-    kept = []
-    for g in Gs:
-        if all((g.lm - h.lm) & guard for h in kept):
-            kept.append(g)
+    kept = []  # (g, the smallest leading monomial kept after g), latest first
+    low = None
+    for g in reversed(G):
+        if all((g.lm - h.lm) & guard for h, _ in kept):
+            kept.append((g, low))
+            if low is None or g.lm < low:
+                low = g.lm
+    kept.sort(key=lambda e: e[0].lm)
+    reducers = [g for g, _ in kept]
     out = []
-    for g in kept:
-        # A tail term is smaller than lm(g), so g never reduces its own tail.
-        r, scale = _nf(dict(g.tail), kept, pk, state)
-        out.append(_EPoly(_primitive([(g.lm, g.lc * scale)] + r), pk.degree))
+    for g, low in kept:
+        if low is not None and g.tail and low <= g.tail[0][0]:
+            # A tail term is smaller than lm(g), so g never reduces its own tail.
+            r, scale = _nf(dict(g.tail), reducers, pk, state)
+            g = _EPoly(_primitive([(g.lm, g.lc * scale)] + r), pk.degree)
+        out.append(g)
     return out
 
 

@@ -61,6 +61,16 @@ def _tokenize(source):
     return tokens
 
 
+def _int(tok):
+    """The value of an integer token; one too long for ``int`` (by default
+    more than 4300 digits) is a ParseError at the token."""
+    _, text, at = tok
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(text)} digits is too long", at) from None
+
+
 class _Parser:
     def __init__(self, source, ring):
         self.tokens = _tokenize(source)
@@ -113,13 +123,14 @@ class _Parser:
         tok = self.advance()
         kind, text, at = tok
         if kind == "int":
-            value = Fraction(int(text))
+            value = Fraction(_int(tok))
             if self.peek()[0] == "/":
                 self.advance()
-                den = self.expect("int")
-                if int(den[1]) == 0:
-                    raise ParseError("zero denominator", den[2])
-                value = value / int(den[1])
+                tok = self.expect("int")
+                den = _int(tok)
+                if den == 0:
+                    raise ParseError("zero denominator", tok[2])
+                value = value / den
             return self.ring.constant(value)
         if kind == "name":
             try:
@@ -133,8 +144,7 @@ class _Parser:
                 nxt = self.peek()
                 if nxt[0] == "-":
                     raise NegativeExponentError("negative exponent", nxt[2])
-                e = self.expect("int")
-                p = p ** int(e[1])
+                p = p ** _int(self.expect("int"))
             return p
         if kind == "(":
             p = self.expr()

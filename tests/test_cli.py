@@ -181,6 +181,28 @@ def test_op_gb_past_degree_limit_exits_two(capsys):
     assert "32767" in capsys.readouterr().err
 
 
+# int() refuses a decimal string longer than sys.get_int_max_str_digits(),
+# 4300 by default, on every Python that has the cap.
+needs_int_cap = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="no cap on int() below 5000 digits",
+)
+
+
+@needs_int_cap
+def test_op_gb_overlong_integer_exits_two(capsys):
+    assert main(["op", "gb", "--ring", "x,y", "--gens", "x^" + "9" * 5000]) == 2
+    assert "integer of 5000 digits is too long (at position 2)" in capsys.readouterr().err
+
+
+@needs_int_cap
+def test_verify_overlong_coefficient_in_scenario_exits_two(tmp_path, capsys):
+    assert _verify_one_poly(tmp_path, "9" * 5000 + "*x - y") == 2
+    err = capsys.readouterr().err
+    assert "polynomial 'f': integer of 5000 digits is too long (at position 0)" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_op_gb_past_8_bits(capsys):
     argv = ["--order", "lex", "op", "gb", "--ring", "x,y", "--gens", "x^2; x - y^127"]
     assert main(argv) == 0

@@ -195,6 +195,20 @@ def test_equality_verdict_order_independent():
 # -- input order -------------------------------------------------------------------
 
 
+@pytest.fixture
+def steps(monkeypatch):
+    """A one-item list that counts the engine's reduction steps."""
+    count = [0]
+    step = groebner._State.step
+
+    def counted(state):
+        count[0] += 1
+        step(state)
+
+    monkeypatch.setattr(groebner._State, "step", counted)
+    return count
+
+
 def _gr26_K3():
     return pluecker_gr2(6).ideal_K(3)
 
@@ -221,17 +235,9 @@ def _lex_cyclic():
     ],
     ids=["gr26-K3-basis", "gr26-K3-cap-p16", "lex-cyclic4"],
 )
-def test_engine_work_independent_of_input_order(case, monkeypatch):
+def test_engine_work_independent_of_input_order(case, steps):
     """Inputs enter the engine in a canonical order, so every shuffle of the
     generators takes the same reduction steps to the same basis."""
-    steps = [0]
-    step = groebner._State.step
-
-    def counted(state):
-        steps[0] += 1
-        step(state)
-
-    monkeypatch.setattr(groebner._State, "step", counted)
     ideal, compute = case()
     rng = random.Random(5)
     counts, results = set(), set()
@@ -243,6 +249,24 @@ def test_engine_work_independent_of_input_order(case, monkeypatch):
         counts.add(steps[0])
     assert len(counts) == 1, sorted(counts)
     assert len(results) == 1
+
+
+def test_shared_factor_costs_no_reduction_steps(steps):
+    """Every term of t*f has t, so a pair of t*K_3 whose leading monomials
+    meet only in t is coprime up to that factor and dropped: the basis of
+    t*K_3 takes exactly the reduction steps of K_3's and is t times it."""
+    K = _gr26_K3()
+    ring = Ring(K.ring.variables + ("t",), K.ring.order)
+    t = ring.var("t")
+    gens = [Polynomial(ring, {m + (0,): c for m, c in g.terms}) for g in K.generators]
+    counts = []
+    bases = []
+    for ideal in (Ideal(ring, gens), Ideal(ring, [t * g for g in gens])):
+        steps[0] = 0
+        bases.append(groebner_basis(ideal).elements)
+        counts.append(steps[0])
+    assert counts[0] == counts[1], counts
+    assert bases[1] == tuple(t * g for g in bases[0])
 
 
 # -- elimination, intersection, quotient ---------------------------------------

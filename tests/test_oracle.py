@@ -4,7 +4,9 @@ Reduced bases are unique per (ideal, monomial order), so the engine's basis,
 made monic, must equal the monic reduced basis ``sympy.groebner`` returns.
 Ideals are small (at most 4 variables, degree at most 3) and mix monomial,
 binomial and general generators, so that many S-pairs share an lcm and the
-pair update's equal-lcm and coprime pruning is exercised.  Skipped when
+pair update's equal-lcm and coprime pruning is exercised; a second strategy
+multiplies some of them by one shared monomial, so that pairs meeting only
+in a common factor of both contents are dropped as coprime.  Skipped when
 SymPy is not installed; the package itself does not depend on it.
 """
 
@@ -47,6 +49,22 @@ def ideals(draw):
     return n, draw(st.sampled_from(sorted(ORDERS))), gens
 
 
+@st.composite
+def shared_factor_ideals(draw):
+    """Ideals some of whose generators are multiplied by one shared monomial
+    of degree 1 or 2, so that many pairs have leading monomials that meet
+    only in a factor of both contents and the pair update drops them."""
+    n, order_name, gens = draw(ideals())
+    shared = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+    shift = tuple(shared.count(i) for i in range(n))
+    hit = draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    gens = [
+        {tuple(a + b for a, b in zip(m, shift)): c for m, c in g.items()} if h else g
+        for g, h in zip(gens, hit)
+    ]
+    return n, order_name, gens
+
+
 def _monic(terms, order):
     """{monomial: Fraction} scaled so the order's leading coefficient is 1."""
     lead = terms[max(terms, key=order.key)]
@@ -79,6 +97,13 @@ def test_reduced_basis_matches_sympy(case):
     assert _engine_basis(n, order_name, gens) == _sympy_basis(n, order_name, gens)
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=shared_factor_ideals())
+def test_shared_factor_bases_match_sympy(case):
+    n, order_name, gens = case
+    assert _engine_basis(n, order_name, gens) == _sympy_basis(n, order_name, gens)
+
+
 @pytest.mark.parametrize("order_name", sorted(ORDERS))
 @pytest.mark.parametrize(
     "gens",
@@ -93,6 +118,17 @@ def test_reduced_basis_matches_sympy(case):
         # leading coefficient stays 2 or 3 after content stripping, so the
         # leading term comes back as lc times the reduction's scale.
         [{(1, 1, 0): 2, (2, 0, 0): -1}, {(1, 0, 0): 3, (1, 1, 0): 2, (2, 0, 0): 3}],
+        # gcd(lm h, lm g) = x divides both leading monomials and one content
+        # but not the tail term y of the other element, so the pair is
+        # reduced.  The element without content x enters second here, and
+        # first in the next case.
+        [{(1, 1, 0): 1, (1, 0, 1): 1}, {(1, 0, 2): 1, (0, 1, 0): 1}],
+        [{(1, 2, 0): 1, (1, 0, 0): 1}, {(1, 0, 1): 1, (0, 1, 0): 1}],
+        # A leading monomial inserted later reaches an earlier element's tail,
+        # so interreduction reduces it: x^2 - y enters first and x^2 + y - 1
+        # reduces to 2y - 1; under lex, y - z^2 enters after x - y.
+        [{(2, 0): 1, (0, 1): -1}, {(2, 0): 1, (0, 1): 1, (0, 0): -1}],
+        [{(1, 0, 0): 1, (0, 1, 0): -1}, {(0, 1, 0): 1, (0, 0, 2): -1}],
     ],
 )
 def test_known_ideals_match_sympy(order_name, gens):

@@ -1,5 +1,7 @@
 """Parser grammar conformance and error reporting."""
 
+import sys
+
 import pytest
 
 from resint import ParseError, Ring, UnknownVariableError, parse_poly
@@ -90,3 +92,21 @@ def test_power_past_degree_limit_names_its_degree(exponent):
         parse_poly(f"x^{exponent}", R)
     assert f"total degree {exponent} " in str(exc.value)
     assert "32767" in str(exc.value)
+
+
+# int() refuses a decimal string longer than sys.get_int_max_str_digits(),
+# 4300 by default, on every Python that has the cap.
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "9" * 5000
+
+
+@pytest.mark.skipif(not 0 < _INT_DIGITS < len(LONG), reason="no cap on int() below 5000 digits")
+@pytest.mark.parametrize(
+    "source, position",
+    [(LONG + "*x", 0), ("x^" + LONG, 2), ("y - 1/" + LONG, 6)],
+    ids=["coefficient", "exponent", "denominator"],
+)
+def test_overlong_integer_names_its_position(source, position):
+    with pytest.raises(ParseError, match="integer of 5000 digits is too long") as exc:
+        parse_poly(source, R)
+    assert exc.value.position == position
