@@ -5,11 +5,11 @@ Exit codes: 0 all checks pass, 1 any check fails or is partial, 2 errors.
 """
 
 import argparse
+import contextvars
 import json
 import sys
 from pathlib import Path
 
-from . import groebner
 from .groebner import (
     GroebnerError,
     Ideal,
@@ -17,9 +17,9 @@ from .groebner import (
     groebner_basis,
     intersect,
     is_member,
+    max_reductions,
     min_generators,
     quotient,
-    set_budget,
 )
 from .parser import parse_poly
 from .poly import PolyError, Ring, order_from_tag
@@ -248,24 +248,19 @@ def _cmd_graph(args):
     return 0
 
 
+_COMMANDS = {"verify": _cmd_verify, "family": _cmd_family, "op": _cmd_op, "graph": _cmd_graph}
+
+
+def _run(args):
+    if args.max_reductions is not None:
+        max_reductions.set(args.max_reductions)
+    return _COMMANDS[args.command](args)
+
+
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    # The budget is process-wide; it holds for this call only.
-    saved = dict(groebner._budget)
-    if args.max_reductions is not None:
-        set_budget(max_reductions=args.max_reductions)
-    try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "family":
-            return _cmd_family(args)
-        if args.command == "op":
-            return _cmd_op(args)
-        if args.command == "graph":
-            return _cmd_graph(args)
-        return 2
-    finally:
-        set_budget(**saved)
+    # In a copy of the caller's context, so the budget holds for this command only.
+    return contextvars.copy_context().run(_run, args)
 
 
 if __name__ == "__main__":

@@ -66,25 +66,25 @@ class GenericMatrix:
         return self.entries[i - 1][j - 1]
 
 
-def generic_matrix(rows, cols, prefix="y"):
-    """A rows x cols grid of fresh variables in a fresh grevlex ring."""
+def generic_matrix(rows, cols):
+    """A rows x cols grid of fresh variables y_ij in a fresh grevlex ring."""
     if rows < 1 or cols < 1:
         raise ParameterError("matrix dimensions must be positive")
     wide = max(rows, cols) > 9
-    names = [_grid_name(prefix, i, j, wide) for i in range(1, rows + 1) for j in range(1, cols + 1)]
+    names = [_grid_name("y", i, j, wide) for i in range(1, rows + 1) for j in range(1, cols + 1)]
     ring = Ring(names)
     entries = tuple(
-        tuple(ring.var(_grid_name(prefix, i, j, wide)) for j in range(1, cols + 1))
+        tuple(ring.var(_grid_name("y", i, j, wide)) for j in range(1, cols + 1))
         for i in range(1, rows + 1)
     )
     return GenericMatrix(ring, entries)
 
 
-def big_cell_matrix(k, n, prefix="y"):
+def big_cell_matrix(k, n):
     """The k x n big-cell matrix: a k x (n-k) variable block, then I_k."""
     if not 1 <= k < n:
         raise ParameterError("need 1 <= k < n")
-    block = generic_matrix(k, n - k, prefix)
+    block = generic_matrix(k, n - k)
     ring = block.ring
     entries = []
     for i in range(1, k + 1):
@@ -159,15 +159,15 @@ class SkewMatrix:
         return -self._upper.get((j, i), self.ring.zero())
 
 
-def generic_skew(m, prefix="x"):
-    """Generic m x m skew matrix of fresh variables."""
+def generic_skew(m):
+    """Generic m x m skew matrix of fresh variables x_ij."""
     if m < 1:
         raise ParameterError("size must be positive")
     wide = m > 9
-    names = [_grid_name(prefix, i, j, wide) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    names = [_grid_name("x", i, j, wide) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     ring = Ring(names)
     upper = {
-        (i, j): ring.var(_grid_name(prefix, i, j, wide))
+        (i, j): ring.var(_grid_name("x", i, j, wide))
         for i in range(1, m + 1)
         for j in range(i + 1, m + 1)
     }

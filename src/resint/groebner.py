@@ -30,6 +30,7 @@ largest degree plus one for ``t``.  ``exact_divide`` divides on packed ints
 and integer numerators with a heap.
 """
 
+import contextvars
 import heapq
 from math import gcd
 
@@ -70,42 +71,34 @@ class NonHomogeneousError(GroebnerError):
     pass
 
 
-# Step budget guarding runaway computations.  Exceeding it raises, never
-# returns a wrong answer.  Defaults are calibrated so the bundled E6 and E7
-# scenarios complete.
-DEFAULT_MAX_REDUCTIONS = 50_000_000
-DEFAULT_MAX_PAIRS = 1_000_000
-
-_budget = {"max_reductions": DEFAULT_MAX_REDUCTIONS, "max_pairs": DEFAULT_MAX_PAIRS}
-
-
-def set_budget(max_reductions=None, max_pairs=None):
-    if max_reductions is not None:
-        _budget["max_reductions"] = max_reductions
-    if max_pairs is not None:
-        _budget["max_pairs"] = max_pairs
+# Limits guarding runaway computations.  Exceeding one raises, never returns
+# a wrong answer.  The reduction-step budget is read when a basis computation
+# or a normal form starts; a value set on it holds in the current context
+# only, so ``contextvars.copy_context().run`` scopes it to one call.  The
+# values are calibrated so the bundled E6 and E7 scenarios complete.
+max_reductions = contextvars.ContextVar("max_reductions", default=50_000_000)
+MAX_PAIRS = 1_000_000
 
 
 class _State:
-    __slots__ = ("arity", "max_reductions", "steps_left", "max_pairs")
+    __slots__ = ("arity", "budget", "steps_left")
 
     def __init__(self, arity):
         self.arity = arity
-        self.max_reductions = self.steps_left = _budget["max_reductions"]
-        self.max_pairs = _budget["max_pairs"]
+        self.budget = self.steps_left = max_reductions.get()
 
     def step(self):
         self.steps_left -= 1
         if self.steps_left < 0:
             raise BudgetExceededError(
-                f"reduction-step budget of {self.max_reductions} exceeded "
+                f"reduction-step budget of {self.budget} exceeded "
                 f"in a {self.arity}-variable ring"
             )
 
     def check_pairs(self, count):
-        if count > self.max_pairs:
+        if count > MAX_PAIRS:
             raise BudgetExceededError(
-                f"pair-queue cap of {self.max_pairs} exceeded "
+                f"pair-queue cap of {MAX_PAIRS} exceeded "
                 f"in a {self.arity}-variable ring"
             )
 
@@ -418,23 +411,25 @@ def _reduce_basis(G, pk, state):
     of that reduction.  `G` is in insertion order, and ``_buchberger`` left
     each element fully reduced against every element before it.  So only a
     leading monomial inserted later divides lm(g), and minimalization looks
-    at those alone; and a tail term of g is reachable only by a later
-    leading monomial no larger than g's largest tail term.  An element that
-    no such monomial reaches is already reduced and is kept as it is.
+    at those alone; and g's tail is reduced only when a leading monomial
+    kept after g divides one of its tail terms.  Such a monomial is no
+    larger than g's largest tail term, so only those are tried.  Any other
+    element is already reduced and is kept as it is.
     """
     guard = pk.guard
-    kept = []  # (g, the smallest leading monomial kept after g), latest first
-    low = None
+    kept = []  # (g, whether its tail needs reducing), latest first
+    later = []  # the leading monomials kept so far, all inserted after g
     for g in reversed(G):
-        if all((g.lm - h.lm) & guard for h, _ in kept):
-            kept.append((g, low))
-            if low is None or g.lm < low:
-                low = g.lm
+        if all((g.lm - l) & guard for l in later):
+            top = g.tail[0][0] if g.tail else -1
+            reach = [l for l in later if l <= top]
+            kept.append((g, any(not (m - l) & guard for m, _ in g.tail for l in reach)))
+            later.append(g.lm)
     kept.sort(key=lambda e: e[0].lm)
     reducers = [g for g, _ in kept]
     out = []
-    for g, low in kept:
-        if low is not None and g.tail and low <= g.tail[0][0]:
+    for g, reached in kept:
+        if reached:
             # A tail term is smaller than lm(g), so g never reduces its own tail.
             r, scale = _nf(dict(g.tail), reducers, pk, state)
             g = _EPoly(_primitive([(g.lm, g.lc * scale)] + r), pk.degree)

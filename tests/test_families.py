@@ -41,10 +41,10 @@ from resint.poly import euler_pairing
 
 
 def test_generic_matrix_variables():
-    M = generic_matrix(2, 3, "y")
+    M = generic_matrix(2, 3)
     assert M.ring.arity == 6
     assert str(M.entry(1, 2)) == "y_12"
-    assert generic_matrix(1, 1, "y").ring.variables == ("y_11",)
+    assert generic_matrix(1, 1).ring.variables == ("y_11",)
 
 
 def test_big_cell_shape():

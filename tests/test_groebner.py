@@ -5,6 +5,7 @@ zero through the public API, and the colon ideal is cross-checked against an
 independent combinatorial oracle on monomial ideals.
 """
 
+import contextvars
 import random
 from fractions import Fraction
 
@@ -27,15 +28,15 @@ from resint import (
     ideals_equal,
     intersect,
     is_member,
+    max_reductions,
     min_generators,
     normal_form,
     parse_poly,
     quotient,
-    set_budget,
 )
 from resint import groebner
 from resint.families import pluecker_gr2
-from resint.groebner import DEFAULT_MAX_PAIRS, DEFAULT_MAX_REDUCTIONS, certify_basis
+from resint.groebner import certify_basis
 from resint.poly import mon_div, mon_divides, mon_gcd, mon_lcm
 
 
@@ -269,6 +270,38 @@ def test_shared_factor_costs_no_reduction_steps(steps):
     assert bases[1] == tuple(t * g for g in bases[0])
 
 
+@pytest.fixture
+def interreduction_nf_calls(monkeypatch):
+    """A one-item list that counts the normal forms ``_reduce_basis`` takes."""
+    count = [0]
+    reduce_basis, nf = groebner._reduce_basis, groebner._nf
+    inside = [False]
+
+    def counted_reduce(*args):
+        inside[0] = True
+        try:
+            return reduce_basis(*args)
+        finally:
+            inside[0] = False
+
+    def counted_nf(*args):
+        count[0] += inside[0]
+        return nf(*args)
+
+    monkeypatch.setattr(groebner, "_reduce_basis", counted_reduce)
+    monkeypatch.setattr(groebner, "_nf", counted_nf)
+    return count
+
+
+def test_interreduction_reduces_only_reachable_tails(interreduction_nf_calls):
+    """No leading monomial kept after an element divides its tail anywhere
+    in (K_3) : (I) on Gr(2,6), so interreduction takes no normal form."""
+    model = pluecker_gr2(6)
+    K, I = model.ideal_K(3), model.ideal_I()
+    assert ideals_equal(quotient(K, I), model.ideal_I_j(3))
+    assert interreduction_nf_calls[0] == 0
+
+
 # -- elimination, intersection, quotient ---------------------------------------
 
 
@@ -436,31 +469,60 @@ def test_min_generators_no_redundant_member():
 # -- budget ------------------------------------------------------------------------
 
 
-def test_budget_exceeded_is_explicit():
+def _runaway_ideal():
     R = Ring(["x", "y", "z"])
-    I = Ideal(R, ["x^4*y - z^3", "y^4 - x*z^2", "z^4 - x^3*y^2"])
-    set_budget(max_reductions=3)
+    return Ideal(R, ["x^4*y - z^3", "y^4 - x*z^2", "z^4 - x^3*y^2"])
+
+
+def test_budget_exceeded_is_explicit():
+    I = _runaway_ideal()
+    token = max_reductions.set(3)
     try:
         with pytest.raises(BudgetExceededError):
             groebner_basis(I)
     finally:
-        set_budget(max_reductions=50_000_000)
+        max_reductions.reset(token)
 
 
 @pytest.mark.parametrize(
     "limit, message",
     [
-        ({"max_pairs": 3}, "pair-queue cap of 3 exceeded in a 3-variable ring"),
+        ({"MAX_PAIRS": 3}, "pair-queue cap of 3 exceeded in a 3-variable ring"),
         ({"max_reductions": 3}, "reduction-step budget of 3 exceeded in a 3-variable ring"),
     ],
 )
-def test_budget_error_names_limit_and_arity(limit, message):
-    R = Ring(["x", "y", "z"])
-    I = Ideal(R, ["x^4*y - z^3", "y^4 - x*z^2", "z^4 - x^3*y^2"])
-    set_budget(**limit)
-    try:
-        with pytest.raises(BudgetExceededError, match=message):
-            groebner_basis(I)
-    finally:
-        set_budget(max_reductions=DEFAULT_MAX_REDUCTIONS, max_pairs=DEFAULT_MAX_PAIRS)
+def test_budget_error_names_limit_and_arity(limit, message, monkeypatch):
+    I = _runaway_ideal()
+    context = contextvars.copy_context()
+    if "MAX_PAIRS" in limit:
+        monkeypatch.setattr(groebner, "MAX_PAIRS", limit["MAX_PAIRS"])
+    else:
+        context.run(max_reductions.set, limit["max_reductions"])
+    with pytest.raises(BudgetExceededError, match=message):
+        context.run(groebner_basis, I)
+    monkeypatch.undo()
     assert_groebner_certificate(groebner_basis(I))
+
+
+def test_budget_set_in_a_copied_context_holds_there_only():
+    """The budget is read per basis computation and per normal form, from
+    the current context, so a value set inside a copied context is not seen
+    outside it."""
+    I = _runaway_ideal()
+    default = max_reductions.get()
+    f = parse_poly("x^9*y^5", I.ring)
+
+    def capped(compute, *args):
+        max_reductions.set(1)
+        assert max_reductions.get() == 1
+        return compute(*args)
+
+    with pytest.raises(BudgetExceededError, match="budget of 1 exceeded"):
+        contextvars.copy_context().run(capped, groebner_basis, I)
+    assert max_reductions.get() == default
+    gb = groebner_basis(I)
+    assert_groebner_certificate(gb)
+    with pytest.raises(BudgetExceededError, match="budget of 1 exceeded"):
+        contextvars.copy_context().run(capped, normal_form, f, gb)
+    assert max_reductions.get() == default
+    normal_form(f, gb)
