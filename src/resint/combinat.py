@@ -51,9 +51,6 @@ class DynkinDiagram:
     def degree(self, i):
         return len(self.neighbors(i))
 
-    def leaves(self):
-        return [i for i in range(1, self.rank + 1) if self.degree(i) == 1]
-
     def trivalent_node(self):
         for i in range(1, self.rank + 1):
             if self.degree(i) == 3:

@@ -94,15 +94,13 @@ def big_cell_matrix(k, n):
     return GenericMatrix(ring, tuple(entries))
 
 
-def matrix_minor(M, rows, cols, _memo=None):
+def matrix_minor(M, rows, cols):
     """Determinant of the submatrix on `rows` x `cols` (1-based index lists)."""
     rows = tuple(rows)
     cols = tuple(cols)
     if len(rows) != len(cols):
         raise ParameterError("minor needs equally many rows and columns")
-    if _memo is None:
-        _memo = {}
-    return _cofactor(M, rows, cols, _memo)
+    return _cofactor(M, rows, cols, {})
 
 
 def _cofactor(M, rows, cols, memo):
@@ -392,9 +390,6 @@ class Gr2Model:
 
     def coordinate(self, s, t):
         return self.ring.var(f"p_{s}{t}")
-
-    def relations_ideal(self):
-        return Ideal(self.ring, self.relations)
 
     def ideal_I(self):
         """(p_in : 1 <= i < n) together with the relations."""

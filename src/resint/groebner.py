@@ -23,11 +23,15 @@ the limit instead of wrapping.  A pair's packed lcm is lm(h) plus the
 packed image of the few nonzero exponent fields of lcm / lm(h), by
 linearity.
 
-In a grevlex ring ``intersect`` lifts its inputs into the ``t``-ring, and
-strips ``t`` from its outputs, on the packed keys, which keep their order,
-at any width: the generators are packed at the one width that holds their
-largest degree plus one for ``t``.  ``exact_divide`` divides on packed ints
-and integer numerators with a heap.
+``intersect`` is the one elimination: it lifts its inputs into the
+``t``-ring, and strips ``t`` from its outputs, on grevlex packed keys, which
+keep their order, at any width: the generators are packed at the one width
+that holds their largest degree plus one for ``t``.  A ring of another order
+intersects in its grevlex twin, the grevlex ring on the same variables, and
+moves the generators back.  Eliminating other variables is a basis in a
+``BlockElim(k)`` ring with them in front, keeping the elements whose leading
+monomial has no front variable.  ``exact_divide`` divides on packed ints and
+integer numerators with a heap.
 """
 
 import contextvars
@@ -44,7 +48,6 @@ from .poly import (
     PolyError,
     Ring,
     RingMismatchError,
-    UnknownVariableError,
     _width_for,
     mon_div,
     mon_lcm,
@@ -119,10 +122,15 @@ def _degree_error(degree, pk):
     )
 
 
-def _engine_width(polys):
-    """The engine width for polynomials packed as these are: the widest of
-    their widths."""
-    return max([p._packer.width for p in polys], default=FIELD_WIDTHS[0])
+def _widening(compute, polys, *args):
+    """``compute(*args, width)`` at the widest width of the polynomials
+    `polys`, redone once at the widest engine width when a degree reaches
+    the narrower width's limit."""
+    width = max([p._packer.width for p in polys], default=FIELD_WIDTHS[0])
+    try:
+        return compute(*args, width)
+    except _Widen:
+        return compute(*args, FIELD_WIDTHS[-1])
 
 
 # -- engine polynomials -------------------------------------------------
@@ -495,9 +503,6 @@ class Ideal:
         self.generators = tuple(gens)
         self._gb = None
 
-    def groebner_basis(self):
-        return groebner_basis(self)
-
     def __repr__(self):
         return f"<Ideal with {len(self.generators)} generators in {self.ring!r}>"
 
@@ -519,10 +524,7 @@ def groebner_basis(ideal):
     """The reduced basis of `ideal` in its ring's order, computed once."""
     gb = ideal._gb
     if gb is None:
-        try:
-            elements = _reduced_basis(ideal, _engine_width(ideal.generators))
-        except _Widen:
-            elements = _reduced_basis(ideal, FIELD_WIDTHS[-1])
+        elements = _widening(_reduced_basis, ideal.generators, ideal)
         gb = ideal._gb = GroebnerBasis(ideal.ring, elements)
     return gb
 
@@ -541,11 +543,7 @@ def normal_form(f, basis):
         raise RingMismatchError("polynomial and basis from different rings")
     if f.is_zero():
         return f
-    width = _engine_width((*basis.elements, f))
-    try:
-        return _remainder(f, basis, width)
-    except _Widen:
-        return _remainder(f, basis, FIELD_WIDTHS[-1])
+    return _widening(_remainder, (*basis.elements, f), f, basis)
 
 
 def is_member(f, ideal):
@@ -567,39 +565,6 @@ def ideals_equal(a, b):
     return ga.elements == gb.elements
 
 
-def _map_exponents(p, target_ring, perm):
-    """Rebuild p in target_ring, exponent i drawn from position perm[i]."""
-    acc = {}
-    for m, c in p.terms:
-        acc[tuple(m[j] for j in perm)] = c
-    return Polynomial(target_ring, acc)
-
-
-def eliminate(ideal, front_vars):
-    """Generators of ideal ∩ k[variables outside front_vars]."""
-    ring = ideal.ring
-    front = [v for v in ring.variables if v in front_vars]
-    unknown = set(front_vars) - set(ring.variables)
-    if unknown:
-        raise UnknownVariableError(f"unknown variables {sorted(unknown)!r}")
-    if not front:
-        return Ideal(ring, ideal.generators)
-    rest = [v for v in ring.variables if v not in front_vars]
-    work_ring = Ring(tuple(front + rest), BlockElim(len(front)))
-    fwd = [ring.index(v) for v in work_ring.variables]
-    back = [work_ring.index(v) for v in ring.variables]
-    mapped = Ideal(work_ring, [_map_exponents(g, work_ring, fwd) for g in ideal.generators])
-    gb = groebner_basis(mapped)
-    k = len(front)
-    out = []
-    for p in gb.elements:
-        lm = p.leading_monomial()
-        if any(lm[:k]):
-            continue
-        out.append(_map_exponents(p, ring, back))
-    return Ideal(ring, out)
-
-
 def _fresh_aux_name(ring):
     if "t" not in ring.variables:
         return "t"
@@ -616,41 +581,36 @@ def intersect(a, b):
     ring = a.ring
     if not a.generators or not b.generators:
         return Ideal(ring, ())
-    t = _fresh_aux_name(ring)
-    work_ring = Ring((t,) + ring.variables, BlockElim(1))
+    # The elimination runs in the grevlex ring on the same variables: a ring
+    # of another order moves its generators there and the result back.
+    gens = a.generators + b.generators
+    twin = ring if ring.order == GrevLex() else Ring(ring.variables)
+    if twin is not ring:
+        gens = [Polynomial(twin, dict(g.terms)) for g in gens]
+    work_ring = Ring((_fresh_aux_name(ring),) + ring.variables, BlockElim(1))
     # BlockElim(1) ranks by the degree in t, then by grevlex in the ring's
     # variables.  At any width its layout is the grevlex layout with one
     # field on top (t's weight row), one inserted above the exponent block
-    # (t's exponent) and t added to the degree.  In a grevlex ring a key
-    # therefore lifts into and strips out of the t-ring by shifts, keeping
-    # its place: t*g keeps g's order, and t*h comes before h.  The lift packs
-    # every generator at the width that holds the largest degree plus t.
-    gens = a.generators + b.generators
-    on_keys = ring.order == GrevLex()
-    if on_keys:
-        pk = ring.packer(_width_for(max([g.total_degree() for g in gens]) + 1))
-        width = pk.width
-        low = width * (ring.arity + 1)  # the exponent block and the degree field
-        mask = (1 << low) - 1
-        rows = low + width  # where the grevlex rows sit in the t-ring
-        wpk = work_ring.packer(width)
-        tkey = wpk.units[0]
+    # (t's exponent) and t added to the degree.  A grevlex key therefore
+    # lifts into and strips out of the t-ring by shifts, keeping its place:
+    # t*g keeps g's order, and t*h comes before h.  The lift packs every
+    # generator at the width that holds the largest degree plus t.
+    pk = twin.packer(_width_for(max([g.total_degree() for g in gens]) + 1))
+    width = pk.width
+    low = width * (ring.arity + 1)  # the exponent block and the degree field
+    mask = (1 << low) - 1
+    rows = low + width  # where the grevlex rows sit in the t-ring
+    wpk = work_ring.packer(width)
+    tkey = wpk.units[0]
     work = []
     for i, g in enumerate(gens):
-        if on_keys:
-            lifted = [((k >> low) << rows) + (k & mask) for k in g._packed(pk)]
-            keys = [k + tkey for k in lifted]
-            nums = g._nums
-            if i >= len(a.generators):
-                keys += lifted
-                nums = [-c for c in nums] + list(nums)
-            work.append(Polynomial._stored(work_ring, keys, nums, g._den, wpk))
-        else:
-            lifted = {(1,) + m: c for m, c in g.terms}
-            if i >= len(a.generators):
-                lifted = {m: -c for m, c in lifted.items()}
-                lifted.update({(0,) + m: c for m, c in g.terms})
-            work.append(Polynomial(work_ring, lifted))
+        lifted = [((k >> low) << rows) + (k & mask) for k in g._packed(pk)]
+        keys = [k + tkey for k in lifted]
+        nums = g._nums
+        if i >= len(a.generators):
+            keys += lifted
+            nums = [-c for c in nums] + list(nums)
+        work.append(Polynomial._stored(work_ring, keys, nums, g._den, wpk))
     gb = groebner_basis(Ideal(work_ring, work))
     out = []
     for p in gb.elements:
@@ -660,15 +620,11 @@ def intersect(a, b):
         low = width * (ring.arity + 1)
         if p._keys[0] >> (2 * low):
             continue
-        if on_keys:
-            mask = (1 << low) - 1
-            rows = low + width
-            keys = [((k >> rows) << low) + (k & mask) for k in p._keys]
-            out.append(
-                Polynomial._stored(ring, keys, p._nums, p._den, ring.packer(width))
-            )
-        else:
-            out.append(Polynomial(ring, {m[1:]: c for m, c in p.terms}))
+        mask = (1 << low) - 1
+        rows = low + width
+        keys = [((k >> rows) << low) + (k & mask) for k in p._keys]
+        p = Polynomial._stored(twin, keys, p._nums, p._den, twin.packer(width))
+        out.append(p if twin is ring else Polynomial(ring, dict(p.terms)))
     return Ideal(ring, out)
 
 

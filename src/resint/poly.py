@@ -172,11 +172,15 @@ class GrevLex(MonomialOrder):
 class BlockElim(MonomialOrder):
     """Elimination order: grevlex on the first `front` variables, then grevlex
     on the tail.  Any monomial touching a front variable beats any that does not.
+    `front` is a non-negative int: a negative one would give more weight rows
+    than variables.
     """
 
     __slots__ = ("front",)
 
     def __init__(self, front):
+        if type(front) is not int or front < 0:
+            raise ValueError(f"block front must be a non-negative integer, got {front!r}")
         object.__setattr__(self, "front", front)
 
     def _fields(self):
@@ -202,10 +206,6 @@ def order_from_tag(tag):
     if tag.startswith("block:"):
         return BlockElim(int(tag.split(":", 1)[1]))
     raise ValueError(f"unknown monomial order {tag!r}")
-
-
-def compare_monomials(order, a, b):
-    return order.compare(a, b)
 
 
 # -- packed monomials -----------------------------------------------------

@@ -104,8 +104,10 @@ def _typed(value, json_type, what):
 def load_scenario(data, name="scenario"):
     """Build a Scenario from a parsed JSON object (or a path via load_scenario_file)."""
     _typed(data, dict, "a scenario")
-    if data.get("format") != FORMAT_VERSION:
-        raise ScenarioError(f"unsupported scenario format {data.get('format')!r}")
+    version = data.get("format")
+    # true and 1.0 compare equal to 1 but are not the integer 1.
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ScenarioError(f"unsupported scenario format {version!r}")
     name = _typed(data.get("name", name), str, "the scenario name")
     ring_spec = data.get("ring")
     if not isinstance(ring_spec, dict) or "vars" not in ring_spec:

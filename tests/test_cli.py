@@ -56,6 +56,20 @@ def test_verify_mistyped_scenario_exits_two(tmp_path, capsys):
     assert "ideal 'I' must be a list" in capsys.readouterr().err
 
 
+def test_verify_negative_block_order_exits_two(tmp_path, capsys):
+    # block:-1 would rank by n + 1 weight rows and decode wrong exponents.
+    doc = {
+        "format": 1,
+        "ring": {"vars": ["x", "y", "z"], "order": "block:-1"},
+        "ideals": {"I": ["z"]},
+        "checks": [{"kind": "codim_equals", "args": ["I", 1]}],
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--json", str(tmp_path / "r.json"), "verify", str(path)]) == 2
+    assert "block front must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_verify_missing_file_exits_two(capsys):
     assert main(["verify", "/nonexistent/scenario.json"]) == 2
     assert "error" in capsys.readouterr().err

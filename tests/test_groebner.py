@@ -23,7 +23,6 @@ from resint import (
     UnitIdealError,
     ZeroIdealDivisorError,
     codim,
-    eliminate,
     groebner_basis,
     ideals_equal,
     intersect,
@@ -31,6 +30,7 @@ from resint import (
     max_reductions,
     min_generators,
     normal_form,
+    order_from_tag,
     parse_poly,
     quotient,
 )
@@ -302,32 +302,35 @@ def test_interreduction_reduces_only_reachable_tails(interreduction_nf_calls):
     assert interreduction_nf_calls[0] == 0
 
 
-# -- elimination, intersection, quotient ---------------------------------------
+# -- intersection, quotient -----------------------------------------------------
+
+# A grevlex ring intersects on its own keys; every other order goes through
+# its grevlex twin and back.
+ORDER_TAGS = ["lex", "grevlex", "block:1", "block:2"]
 
 
-def test_eliminate_examples():
-    R = Ring(["t", "x", "y"])
-    out = eliminate(Ideal(R, ["t*x - 1", "t*y"]), {"t"})
-    assert ideals_equal(out, Ideal(R, ["y"]))
-    # membership cross-check: y is in the ideal and in the subring
-    assert is_member(R.var("y"), Ideal(R, ["t*x - 1", "t*y"]))
-    assert ideals_equal(eliminate(Ideal(R, ["x"]), {"y"}), Ideal(R, ["x"]))
-    assert len(eliminate(Ideal(R, ["t - x*y"]), {"t"}).generators) == 0
+def _in_ring(ideal, ring):
+    return ideal.ring == ring and all(g.ring == ring for g in ideal.generators)
 
 
-def test_intersect_examples():
-    R = Ring(["x", "y"])
-    assert ideals_equal(intersect(Ideal(R, ["x"]), Ideal(R, ["y"])), Ideal(R, ["x*y"]))
+@pytest.mark.parametrize("tag", ORDER_TAGS)
+def test_intersect_examples(tag):
+    R = Ring(["x", "y"], order_from_tag(tag))
+    K = intersect(Ideal(R, ["x"]), Ideal(R, ["y"]))
+    assert _in_ring(K, R)
+    assert ideals_equal(K, Ideal(R, ["x*y"]))
     assert ideals_equal(intersect(Ideal(R, ["x"]), Ideal(R, ["x"])), Ideal(R, ["x"]))
 
 
-def test_intersect_contracts_random():
+@pytest.mark.parametrize("tag", ORDER_TAGS)
+def test_intersect_contracts_random(tag):
     rng = random.Random(5)
-    R = Ring(["a", "b", "c"])
+    R = Ring(["a", "b", "c"], order_from_tag(tag))
     for _ in range(10):
         I = _random_ideal(rng, R, ngens=2)
         J = _random_ideal(rng, R, ngens=2)
         K = intersect(I, J)
+        assert _in_ring(K, R)
         for g in K.generators:
             assert is_member(g, I) and is_member(g, J)
         # sampled common elements land in the intersection
@@ -336,11 +339,17 @@ def test_intersect_contracts_random():
                 assert is_member(gi * gj, K)
 
 
-def test_quotient_examples():
-    R = Ring(["x", "y"])
-    assert ideals_equal(quotient(Ideal(R, ["x*y"]), Ideal(R, ["y"])), Ideal(R, ["x"]))
+@pytest.mark.parametrize("tag", ORDER_TAGS)
+def test_quotient_examples(tag):
+    R = Ring(["x", "y", "z"], order_from_tag(tag))
+    Q = quotient(Ideal(R, ["x*y"]), Ideal(R, ["y"]))
+    assert _in_ring(Q, R)
+    assert ideals_equal(Q, Ideal(R, ["x"]))
     assert ideals_equal(
         quotient(Ideal(R, ["x^2", "x*y"]), Ideal(R, ["x"])), Ideal(R, ["x", "y"])
+    )
+    assert ideals_equal(
+        quotient(Ideal(R, ["x*z", "y*z^2"]), Ideal(R, ["z"])), Ideal(R, ["x", "y*z"])
     )
 
 

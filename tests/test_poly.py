@@ -15,7 +15,6 @@ from resint import (
     PolyError,
     Ring,
     RingMismatchError,
-    compare_monomials,
     order_from_tag,
     parse_poly,
 )
@@ -24,22 +23,22 @@ from resint.poly import ArityMismatchError, euler_pairing, mon_divides
 
 def test_lex_prefers_earlier_variable():
     # x vs y^2 in [x, y]
-    assert compare_monomials(Lex(), (1, 0), (0, 2)) == 1
+    assert Lex().compare((1, 0), (0, 2)) == 1
 
 
 def test_grevlex_same_degree_tiebreak():
     # x*y vs x^2: same degree, reverse-lex tiebreak
-    assert compare_monomials(GrevLex(), (1, 1), (2, 0)) == -1
+    assert GrevLex().compare((1, 1), (2, 0)) == -1
 
 
 def test_block_elim_front_variable_dominates():
     # t vs x^5*y^5 in [t, x, y] with front = {t}
-    assert compare_monomials(BlockElim(1), (1, 0, 0), (0, 5, 5)) == 1
+    assert BlockElim(1).compare((1, 0, 0), (0, 5, 5)) == 1
 
 
 def test_compare_arity_mismatch():
     with pytest.raises(ArityMismatchError):
-        compare_monomials(Lex(), (1, 0), (1, 0, 0))
+        Lex().compare((1, 0), (1, 0, 0))
 
 
 ORDERS = [Lex(), GrevLex(), BlockElim(3)]
@@ -87,6 +86,14 @@ def test_orders_of_other_type_or_fields_differ():
     assert BlockElim(1) != BlockElim(2)
     assert BlockElim(1) == BlockElim(1)
     assert len({Lex(), GrevLex(), BlockElim(0), BlockElim(1), BlockElim(2)}) == 5
+
+
+@pytest.mark.parametrize("front", [-1, True], ids=repr)
+def test_block_front_must_be_a_non_negative_int(front):
+    # BlockElim(-1) would give n + 1 weight rows, and its keys would decode
+    # to the wrong exponents.
+    with pytest.raises(ValueError):
+        BlockElim(front)
 
 
 @st.composite

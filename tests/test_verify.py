@@ -264,6 +264,9 @@ def test_bundled_scenarios_pass_strict_schema(name, count, partial):
         dict(SCENARIO, ring={"vars": ["x", 1]}),
         dict(SCENARIO, ring={"vars": ["x", "y"], "order": 3}),
         dict(SCENARIO, ring={"vars": ["x", "y"], "order": "nope"}),
+        dict(SCENARIO, ring={"vars": ["x", "y"], "order": "block:-1"}),
+        dict(SCENARIO, format=True),
+        dict(SCENARIO, format=1.0),
         [SCENARIO],
         dict(SCENARIO, polys=["x*y"]),
         dict(SCENARIO, polys={"f": 1}),
@@ -279,6 +282,9 @@ def test_bundled_scenarios_pass_strict_schema(name, count, partial):
         "vars-int",
         "order-int",
         "order-unknown",
+        "order-block-negative",
+        "format-true",
+        "format-float",
         "top-level-list",
         "polys-list",
         "poly-int",
