@@ -162,10 +162,11 @@ class _EPoly:
 
     ``sugar`` is the degree the polynomial would have if the computation were
     homogenized: at least its own maximal degree, and for a reduced
-    S-polynomial at least the sugar of its pair.
+    S-polynomial at least the sugar of its pair.  ``_buchberger`` sets
+    ``exps``, ``content`` and ``redundant`` when it inserts the polynomial.
     """
 
-    __slots__ = ("terms", "tail", "lm", "lc", "maxdeg", "sugar")
+    __slots__ = ("terms", "tail", "lm", "lc", "maxdeg", "sugar", "exps", "content", "redundant")
 
     def __init__(self, items, degree, sugar=0):
         self.terms = items
@@ -293,7 +294,8 @@ def _monomial_content(items, pk):
 
 
 def _buchberger(inputs, pk, state):
-    """Return a (not yet reduced) Groebner basis of the input _EPolys.
+    """Return a minimal, not yet tail-reduced Groebner basis of the input
+    _EPolys, in insertion order.
 
     Inputs enter ascending by (sugar, terms), the order Giovini et al. ask
     for, so the basis, the pair queue and every work counter depend on the
@@ -315,13 +317,14 @@ def _buchberger(inputs, pk, state):
     only then is the queue rebuilt and re-heapified.  The heap is ordered by
     (sugar, packed lcm, seq): sugar selection.  The criteria compare lcms by
     their exponent fields alone, which rank monomials lex, so a proper
-    divisor is always a smaller int.  The exponent fields of every basis
-    element are kept beside G, and of both partners in each queue entry, so
-    no lcm needs a leading monomial unpacked; the new pairs' lcms are the
-    guard-bit max of ``Packer.lcm_exps`` inlined.  Each element's content
-    is found once, when it is inserted, and kept beside G too; the gcd of
-    two leading monomials is the guard-bit min of their exponent fields, and
-    it divides a content when subtracting it borrows from no guard bit.
+    divisor is always a smaller int.  Each element carries the exponent
+    fields of its leading monomial and its content, both found once when it
+    is inserted; a queue entry's lcm fields are its packed lcm's.  The new
+    pairs' lcms are the guard-bit max of ``Packer.lcm_exps`` inlined, the gcd
+    of two leading monomials is the guard-bit min, and it divides a content
+    when subtracting it borrows from no guard bit.  The same sweep finds
+    lm(h) dividing lm(g), which makes g redundant; g stays a reducer and a
+    pair partner, but is left out of the basis returned.
     """
     guard = pk.guard
     exps = pk.exps
@@ -331,37 +334,37 @@ def _buchberger(inputs, pk, state):
     enc_exps = pk.enc_exps
     top = pk.width - 1
     G = []
-    E = []  # exponent fields of G's leading monomials
-    C = []  # exponent fields of G's monomial contents
     P = []
     seq = 0
 
     def update(h):
         nonlocal P, seq
         hlm = h.lm
-        hexp = hlm & exps
+        hexp = h.exps = hlm & exps
         high = hexp | guard
-        hc = _monomial_content(h.terms, pk)
-        first = {}
-        coprime = set()
-        for i, gexp in enumerate(E):
+        hc = h.content = _monomial_content(h.terms, pk)
+        h.redundant = False
+        first = {}  # lcm: the first g giving it, None once a pair is coprime
+        for g in G:
+            gexp = g.exps
             ge = (high - gexp) & guard  # guard bit set where h's field >= g's
             sel = (hexp ^ gexp) & (ge - (ge >> top))
+            if not sel:  # lm(h) divides lm(g)
+                g.redundant = True
             l = gexp ^ sel  # lcm(lm h, lm g)
-            first.setdefault(l, i)
+            first.setdefault(l, g)
             # u = gcd(lm h, lm g) divides both contents (u = 1 always does):
             # a coprime pair times u.
             u = hexp ^ sel
-            if not u or hc and not ((hc - u) | (C[i] - u)) & guard:
-                coprime.add(l)
-        # B-criterion, by seq.  Entries are (sugar, packed lcm, seq, f, g,
-        # lcm, exponents of f, exponents of g).
+            if not u or hc and not ((hc - u) | (g.content - u)) & guard:
+                first[l] = None
+        # B-criterion, by seq.  Entries are (sugar, packed lcm, seq, f, g).
         gone = {
             e[2]
             for e in P
-            if not (e[5] - hexp) & guard
-            and lcm_exps(e[6], hexp) != e[5]
-            and lcm_exps(e[7], hexp) != e[5]
+            if not ((l := e[1] & exps) - hexp) & guard
+            and lcm_exps(e[3].exps, hexp) != l
+            and lcm_exps(e[4].exps, hexp) != l
         }
         new = []
         # A proper divisor is a smaller int, so in ascending order l is
@@ -373,9 +376,8 @@ def _buchberger(inputs, pk, state):
                     break
             else:
                 minimal.append(l)
-                if l not in coprime:
-                    i = first[l]
-                    g = G[i]
+                g = first[l]
+                if g is not None:
                     packed = hlm + enc_exps(l - hexp)
                     deg = packed & degree
                     if deg >= limit:
@@ -385,7 +387,7 @@ def _buchberger(inputs, pk, state):
                         g.sugar + deg - (g.lm & degree),
                     )
                     seq += 1
-                    new.append((sugar, packed, seq, g, h, l, E[i], hexp))
+                    new.append((sugar, packed, seq, g, h))
         if gone:
             P = [e for e in P if e[2] not in gone]
             P += new
@@ -395,8 +397,6 @@ def _buchberger(inputs, pk, state):
                 heapq.heappush(P, entry)
         state.check_pairs(len(P))
         G.append(h)
-        E.append(hexp)
-        C.append(hc)
 
     for p in sorted(inputs, key=lambda p: (p.sugar, p.terms)):
         r, _ = _nf(dict(p.terms), G, pk, state)
@@ -404,35 +404,34 @@ def _buchberger(inputs, pk, state):
             update(_EPoly(_primitive(r), degree, p.sugar))
     while P:
         # (sugar, packed lcm, seq) is unique, so the heap never compares _EPolys.
-        sugar, lcm, _, f, g, *_ = heapq.heappop(P)
+        sugar, lcm, _, f, g = heapq.heappop(P)
         r, _ = _nf(_spoly_terms(f, g, lcm, pk), G, pk, state)
         if r:
             update(_EPoly(_primitive(r), degree, sugar))
-    return G
+    return [g for g in G if not g.redundant]
 
 
 def _reduce_basis(G, pk, state):
-    """Minimalize and tail-reduce into the unique reduced basis (ascending).
+    """Tail-reduce the minimal basis `G` into the unique reduced basis
+    (ascending).
 
     No other leading monomial of a minimal basis divides lm(g), so only g's
     tail is reduced; its leading term comes back as lc(g) times the scale
     of that reduction.  `G` is in insertion order, and ``_buchberger`` left
-    each element fully reduced against every element before it.  So only a
-    leading monomial inserted later divides lm(g), and minimalization looks
-    at those alone; and g's tail is reduced only when a leading monomial
-    kept after g divides one of its tail terms.  Such a monomial is no
-    larger than g's largest tail term, so only those are tried.  Any other
-    element is already reduced and is kept as it is.
+    each element fully reduced against every element before it.  So g's
+    tail is reduced only when a leading monomial after g divides one of its
+    tail terms.  Such a monomial is no larger than g's largest tail term, so
+    only those are tried.  Any other element is already reduced and is kept
+    as it is.
     """
     guard = pk.guard
     kept = []  # (g, whether its tail needs reducing), latest first
-    later = []  # the leading monomials kept so far, all inserted after g
+    later = []  # the leading monomials after g
     for g in reversed(G):
-        if all((g.lm - l) & guard for l in later):
-            top = g.tail[0][0] if g.tail else -1
-            reach = [l for l in later if l <= top]
-            kept.append((g, any(not (m - l) & guard for m, _ in g.tail for l in reach)))
-            later.append(g.lm)
+        top = g.tail[0][0] if g.tail else -1
+        reach = [l for l in later if l <= top]
+        kept.append((g, any(not (m - l) & guard for m, _ in g.tail for l in reach)))
+        later.append(g.lm)
     kept.sort(key=lambda e: e[0].lm)
     reducers = [g for g, _ in kept]
     out = []

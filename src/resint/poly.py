@@ -472,11 +472,6 @@ class Polynomial:
             raise PolyError("zero polynomial has no leading monomial")
         return self._packer.dec(self._keys[0])
 
-    def leading_coefficient(self):
-        if not self._keys:
-            raise PolyError("zero polynomial has no leading coefficient")
-        return Fraction(self._nums[0], self._den)
-
     def total_degree(self):
         if not self._keys:
             return -1
@@ -486,14 +481,6 @@ class Polynomial:
     def is_homogeneous(self):
         degree = self._packer.degree
         return len({k & degree for k in self._keys}) <= 1
-
-    def constant_value(self):
-        """The rational value, provided the polynomial is constant."""
-        if not self._keys:
-            return Fraction(0)
-        if self._keys == (0,):
-            return Fraction(self._nums[0], self._den)
-        raise PolyError("not a constant polynomial")
 
     # -- arithmetic ----------------------------------------------------
 

@@ -78,6 +78,9 @@ def test_verify_missing_file_exits_two(capsys):
 def test_verify_resolves_bundled_names(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--json", str(tmp_path / "r.json"), "verify", "e6"]) == 0
+    # Without --json the report is <scenario>.report.json in the working directory.
+    assert main(["verify", "e6"]) == 0
+    assert json.loads((tmp_path / "e6.report.json").read_text())["summary"]["pass"] == 12
 
 
 @pytest.mark.parametrize(
@@ -122,6 +125,17 @@ def test_family_counts(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 6
     assert main(["family", "typeA-left", "--k", "2", "--n", "5", "--s", "1"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3
+    for argv, lines in [
+        (["pluecker", "--n", "5"], 5),
+        (["pluecker", "--n", "5", "--ideal", "relations"], 5),
+        (["pluecker", "--n", "5", "--ideal", "I"], 9),
+        (["pluecker", "--n", "5", "--ideal", "K_2"], 8),
+        (["pluecker", "--n", "5", "--ideal", "I_2"], 11),
+        (["typeA-right", "--k", "2", "--n", "5", "--s", "2"], 4),
+        (["ku-bordered", "--m", "5", "--j", "3"], 4),
+    ]:
+        assert main(["family", *argv]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == lines
 
 
 def test_family_errors(capsys):
@@ -129,6 +143,8 @@ def test_family_errors(capsys):
     assert "available" in capsys.readouterr().err
     assert main(["family", "pfaffian-containing", "--m", "5", "--j", "1"]) == 2
     capsys.readouterr()
+    assert main(["family", "pluecker", "--n", "5", "--ideal", "bogus"]) == 2
+    assert "unknown pluecker ideal 'bogus'" in capsys.readouterr().err
 
 
 def test_op_quotient(capsys):

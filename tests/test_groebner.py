@@ -36,7 +36,7 @@ from resint import (
 )
 from resint import groebner
 from resint.families import pluecker_gr2
-from resint.groebner import certify_basis
+from resint.groebner import GroebnerBasis, certify_basis
 from resint.poly import mon_div, mon_divides, mon_gcd, mon_lcm
 
 
@@ -79,6 +79,28 @@ def test_nf_exact_rational_remainder():
     assert r == R.var("y").scale(Fraction(3, 2))
 
 
+def _bases_and_remainders(ring):
+    """Reduced bases of ideals whose reducers keep leading coefficients
+    other than 1 after content stripping (8 and 4 for the first), and
+    normal forms against them, each computed afresh."""
+    polys = ["x^3 + y^3", "x^2*y^2 + 5*x*y + 7", "6*x^4 - 9*y^3 + 12*x", "x^5*y + y^4"]
+    out = []
+    for gens in (["2*x*y - x^2", "3*x + 2*x*y + 3*x^2"], ["3*x^2 - 2*y", "5*x*y - 4"]):
+        gb = groebner_basis(Ideal(ring, gens))
+        out.append((gb.elements, [normal_form(parse_poly(f, ring), gb) for f in polys]))
+    return out
+
+
+@pytest.mark.parametrize("tag", ["lex", "grevlex"])
+def test_content_strip_keeps_bases_and_normal_forms(tag, monkeypatch):
+    # At one bit every scale above 1 takes out the content shared by the
+    # working coefficients and the scale; the answers must not move.
+    R = Ring(["x", "y"], order_from_tag(tag))
+    expected = _bases_and_remainders(R)
+    monkeypatch.setattr(groebner, "_STRIP_BITS", 1)
+    assert _bases_and_remainders(R) == expected
+
+
 # -- reduced bases ----------------------------------------------------------
 
 
@@ -105,6 +127,14 @@ def test_gb_unit_ideal():
 def test_gb_zero_ideal():
     R = Ring(["x", "y"])
     assert len(groebner_basis(Ideal(R, []))) == 0
+
+
+def test_certify_basis_rejects_a_non_basis():
+    # S(x^2 - y, x*y - 1) = x - y^2 reduces to itself, not to zero.
+    R = Ring(["x", "y"])
+    gens = [parse_poly(f, R) for f in ("x^2 - y", "x*y - 1")]
+    assert not certify_basis(GroebnerBasis(R, gens))
+    assert certify_basis(groebner_basis(Ideal(R, gens)))
 
 
 def test_gb_cached_per_order():
@@ -166,6 +196,7 @@ def test_membership_examples():
     R = Ring(["x", "y"])
     assert is_member(parse_poly("x*y", R), Ideal(R, ["x"]))
     assert not is_member(R.var("y"), Ideal(R, ["x"]))
+    assert not is_member(R.var("x"), Ideal(R, []))
 
 
 def test_membership_ring_mismatch_raises_before_computing():
@@ -320,6 +351,7 @@ def test_intersect_examples(tag):
     assert _in_ring(K, R)
     assert ideals_equal(K, Ideal(R, ["x*y"]))
     assert ideals_equal(intersect(Ideal(R, ["x"]), Ideal(R, ["x"])), Ideal(R, ["x"]))
+    assert intersect(Ideal(R, ["x"]), Ideal(R, [])).generators == ()
 
 
 @pytest.mark.parametrize("tag", ORDER_TAGS)
@@ -351,6 +383,18 @@ def test_quotient_examples(tag):
     assert ideals_equal(
         quotient(Ideal(R, ["x*z", "y*z^2"]), Ideal(R, ["z"])), Ideal(R, ["x", "y*z"])
     )
+
+
+@pytest.mark.parametrize("tag", ["grevlex", "lex", "block:1"])
+def test_intersect_and_quotient_with_t_taken(tag):
+    # t and t_aux0 are the ring's own, so the elimination variable is t_aux1.
+    R = Ring(["t", "x", "y", "t_aux0"], order_from_tag(tag))
+    assert groebner._fresh_aux_name(R) == "t_aux1"
+    A, B = Ideal(R, ["t*x", "x*y"]), Ideal(R, ["t*y", "y^2"])
+    K = intersect(A, B)
+    assert _in_ring(K, R)
+    assert ideals_equal(K, Ideal(R, ["t*x*y", "x*y^2"]))
+    assert ideals_equal(quotient(A, B), Ideal(R, ["x"]))
 
 
 def test_quotient_by_zero_ideal_rejected():

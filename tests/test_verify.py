@@ -260,6 +260,8 @@ def test_bundled_scenarios_pass_strict_schema(name, count, partial):
     [
         dict(SCENARIO, ideals=dict(SCENARIO["ideals"], I="xy")),
         dict(SCENARIO, ideals=dict(SCENARIO["ideals"], I=[1])),
+        {k: v for k, v in SCENARIO.items() if k != "ring"},
+        dict(SCENARIO, ring={"order": "grevlex"}),
         dict(SCENARIO, ring={"vars": "xy"}),
         dict(SCENARIO, ring={"vars": ["x", 1]}),
         dict(SCENARIO, ring={"vars": ["x", "y"], "order": 3}),
@@ -278,6 +280,8 @@ def test_bundled_scenarios_pass_strict_schema(name, count, partial):
     ids=[
         "ideal-string",
         "ideal-generator-int",
+        "ring-missing",
+        "vars-missing",
         "vars-string",
         "vars-int",
         "order-int",
