@@ -1,12 +1,14 @@
 """Command-line front end: verify scenarios, print ideal families, run ad hoc
 Groebner operations, export graphs as DOT.
 
-Exit codes: 0 all checks pass, 1 any check fails or is partial, 2 errors.
+Exit codes: 0 all checks pass, 1 any check fails or is partial (or the reader
+closed standard output early), 2 errors.
 """
 
 import argparse
 import contextvars
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -258,9 +260,19 @@ def _run(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    # In a copy of the caller's context, so the budget holds for this command only.
-    return contextvars.copy_context().run(_run, args)
+    try:
+        args = _build_parser().parse_args(argv)
+        # In a copy of the caller's context, so the budget holds for this command only.
+        code = contextvars.copy_context().run(_run, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`resint family ... | head -1`).
+        # Point stdout at devnull so that the flush at exit cannot raise
+        # again, and exit 1 as Python itself does on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

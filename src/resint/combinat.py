@@ -51,12 +51,6 @@ class DynkinDiagram:
     def degree(self, i):
         return len(self.neighbors(i))
 
-    def trivalent_node(self):
-        for i in range(1, self.rank + 1):
-            if self.degree(i) == 3:
-                return i
-        return None
-
 
 def dynkin(type, rank):
     type = type.upper()
@@ -113,104 +107,63 @@ class GkGraph:
     edges: tuple  # (parent name, child name, dynkin label or None)
 
 
-def _arm_from(diagram, start, banned):
-    """Follow the unique unvisited path from `start` to a leaf."""
-    arm = [start]
-    prev = banned
-    cur = start
+def _walk(diagram, start, prev):
+    """The path from `start`, entered from its neighbour `prev` (None at a
+    leaf), through nodes with one way on, to the first leaf or branch node."""
+    path = [start]
     while True:
-        nxt = [v for v in diagram.neighbors(cur) if v != prev]
-        if not nxt:
-            return arm
-        if len(nxt) > 1:
-            raise NotExtremalError("walk hit a second branch node")
-        prev, cur = cur, nxt[0]
-        arm.append(cur)
-
-
-def _tree_path(diagram, a, b):
-    """The unique path from a to b in the tree."""
-    seen = {a: None}
-    queue = [a]
-    while queue:
-        cur = queue.pop(0)
-        if cur == b:
-            path = [b]
-            while seen[path[-1]] is not None:
-                path.append(seen[path[-1]])
-            return list(reversed(path))
-        for v in diagram.neighbors(cur):
-            if v not in seen:
-                seen[v] = cur
-                queue.append(v)
-    raise NotExtremalError("disconnected diagram")
+        ahead = [v for v in diagram.neighbors(path[-1]) if v != prev]
+        if len(ahead) != 1:
+            return path
+        prev = path[-1]
+        path.append(ahead[0])
 
 
 def build_gk(diagram, k):
     """Walk graph from the extremal node k, with per-node Weyl words."""
-    n = diagram.rank
-    if not 1 <= k <= n:
+    if not 1 <= k <= diagram.rank:
         raise NotExtremalError(f"node {k} outside the diagram")
     if diagram.type == "A":
-        if not 2 <= k <= n - 1:
-            raise NotExtremalError(
-                "type A walk needs an interior start node (both arms nonempty)"
-            )
-        x_chain = ()
-        u = k
-        arm_a = list(range(k + 1, n + 1))
-        arm_b = list(range(k - 1, 0, -1))
+        x_chain, u = [], k
+    elif diagram.degree(k) != 1:
+        raise NotExtremalError(f"start node {k} is not a leaf")
     else:
-        u = diagram.trivalent_node()
-        if u is None:
+        x_chain = _walk(diagram, k, None)
+        u = x_chain.pop()
+        if diagram.degree(u) == 1:
             raise NotExtremalError("no trivalent node in the diagram")
-        if diagram.degree(k) != 1:
-            raise NotExtremalError(f"start node {k} is not a leaf")
-        chain = _tree_path(diagram, k, u)
-        x_chain = tuple(chain[:-1])
-        prev = x_chain[-1]
-        others = [v for v in diagram.neighbors(u) if v != prev]
-        arm_a = _arm_from(diagram, others[0], u)
-        arm_b = _arm_from(diagram, others[1], u)
-    # The E6 walk is labelled in the source with the short arm as y; keep
-    # that fixed orientation, otherwise order the arms so d >= t.
-    if diagram.type == "E" and diagram.rank == 6 and k == 6:
-        y_arm, z_arm = (2,), (3, 1)
-        if tuple(arm_a) != (2,):
-            arm_a, arm_b = arm_b, arm_a
-    else:
-        if len(arm_a) < len(arm_b):
-            arm_a, arm_b = arm_b, arm_a
-        y_arm, z_arm = tuple(arm_a), tuple(arm_b)
-    c = len(x_chain) + 2
-    d, t = len(y_arm), len(z_arm)
-    if d < 1 or t < 1:
+    starts = [v for v in diagram.neighbors(u) if v not in x_chain[-1:]]
+    if len(starts) != 2:
         raise NotExtremalError("both arms must be nonempty")
+    if diagram.type == "A":
+        starts.reverse()  # the arm up from k is y when the arms tie
+    arm_a, arm_b = (_walk(diagram, v, u) for v in starts)
+    if diagram.degree(arm_a[-1]) > 1 or diagram.degree(arm_b[-1]) > 1:
+        raise NotExtremalError("walk hit a second branch node")
+    # The E6 walk is labelled in the source with the short arm (2,) as y;
+    # keep that fixed orientation, otherwise order the arms so d >= t.
+    if len(arm_a) < len(arm_b) and (diagram.type, diagram.rank, k) != ("E", 6, 6):
+        arm_a, arm_b = arm_b, arm_a
     nodes = [GkNode("anchor", "*", None, ()), GkNode("p0", "p_()", None, ())]
     edges = [("anchor", "p0", None)]
-    word = []
-    prev_name = "p0"
-    walk = list(x_chain) + [u]
-    for v in walk:
-        word = [v] + word
-        name = f"p{v}"
-        nodes.append(GkNode(name, f"p_{v}", v, tuple(word)))
-        edges.append((prev_name, name, v))
-        prev_name = name
-    u_name = prev_name
-    u_word = list(word)
-    for arm in (y_arm, z_arm):
-        prev_name = u_name
-        word = list(u_word)
-        for v in arm:
-            word = [v] + word
+
+    def extend(path, parent, word):
+        """Append the nodes of `path` below `parent`, each prepending its
+        Dynkin node to the Weyl word; return the last name and word."""
+        for v in path:
+            word = (v,) + word
             name = f"p{v}"
-            nodes.append(GkNode(name, f"p_{v}", v, tuple(word)))
-            edges.append((prev_name, name, v))
-            prev_name = name
+            nodes.append(GkNode(name, f"p_{v}", v, word))
+            edges.append((parent, name, v))
+            parent = name
+        return parent, word
+
+    u_name, u_word = extend(x_chain + [u], "p0", ())
+    for arm in (arm_a, arm_b):
+        extend(arm, u_name, u_word)
     return GkGraph(
-        diagram, k, c, d, t, tuple(x_chain), u, tuple(y_arm), tuple(z_arm),
-        tuple(nodes), tuple(edges),
+        diagram, k, len(x_chain) + 2, len(arm_a), len(arm_b), tuple(x_chain), u,
+        tuple(arm_a), tuple(arm_b), tuple(nodes), tuple(edges),
     )
 
 

@@ -45,13 +45,15 @@ def _grid_name(prefix, i, j, wide):
 
 
 class GenericMatrix:
-    """A matrix over a ring, as a tuple of row tuples."""
+    """A matrix over a ring, as a tuple of row tuples, with a memo of its
+    minors keyed by (rows, cols)."""
 
-    __slots__ = ("ring", "entries")
+    __slots__ = ("ring", "entries", "_minor_cache")
 
     def __init__(self, ring, entries):
         self.ring = ring
         self.entries = entries
+        self._minor_cache = {}
 
     @property
     def rows(self):
@@ -100,14 +102,13 @@ def matrix_minor(M, rows, cols):
     cols = tuple(cols)
     if len(rows) != len(cols):
         raise ParameterError("minor needs equally many rows and columns")
-    return _cofactor(M, rows, cols, {})
+    return _cofactor(M, rows, cols)
 
 
-def _cofactor(M, rows, cols, memo):
+def _cofactor(M, rows, cols):
     if not rows:
         return M.ring.one()
-    key = (rows, cols)
-    cached = memo.get(key)
+    cached = M._minor_cache.get((rows, cols))
     if cached is not None:
         return cached
     r = rows[0]
@@ -116,23 +117,22 @@ def _cofactor(M, rows, cols, memo):
         e = M.entry(r, c)
         if e.is_zero():
             continue
-        sub = _cofactor(M, rows[1:], cols[:idx] + cols[idx + 1 :], memo)
+        sub = _cofactor(M, rows[1:], cols[:idx] + cols[idx + 1 :])
         term = e * sub
         total = total + (term if idx % 2 == 0 else -term)
-    memo[key] = total
+    M._minor_cache[rows, cols] = total
     return total
 
 
 def minors(M, r):
-    """All r x r minors, cofactor-expanded with shared memoization."""
+    """All r x r minors, cofactor-expanded through the matrix's memo."""
     if r < 0 or r > min(M.rows, M.cols):
         raise SizeTooLargeError(f"no {r}x{r} minors of a {M.rows}x{M.cols} matrix")
-    memo = {}
-    out = []
-    for rows in itertools.combinations(range(1, M.rows + 1), r):
-        for cols in itertools.combinations(range(1, M.cols + 1), r):
-            out.append(_cofactor(M, rows, cols, memo))
-    return out
+    return [
+        _cofactor(M, rows, cols)
+        for rows in itertools.combinations(range(1, M.rows + 1), r)
+        for cols in itertools.combinations(range(1, M.cols + 1), r)
+    ]
 
 
 # -- skew-symmetric matrices and Pfaffians ---------------------------------
@@ -313,23 +313,21 @@ def typeA_right_subset(k, s):
 
 def typeA_coordinate(M, subset):
     """The Pluecker coordinate p_subset on the big cell: a maximal minor."""
-    k = M.rows
-    return matrix_minor(M, range(1, k + 1), subset)
+    return matrix_minor(M, range(1, M.rows + 1), subset)
 
 
-def typeA_schubert_ideal(M, n, w):
-    """Vanishing ideal of the cell Schubert variety for the k-subset w.
+def typeA_schubert_ideal(M, w):
+    """Vanishing ideal of the cell Schubert variety for the k-subset w of
+    [1, n], on the k x n big-cell matrix M.
 
     Generated by the coordinates p_tau with tau not componentwise >= w.
     """
-    k = M.rows
-    memo = {}
+    rows = tuple(range(1, M.rows + 1))
     gens = []
-    rows = tuple(range(1, k + 1))
-    for tau in itertools.combinations(range(1, n + 1), k):
+    for tau in itertools.combinations(range(1, M.cols + 1), M.rows):
         if all(t >= x for t, x in zip(tau, w)):
             continue
-        p = _cofactor(M, rows, tau, memo)
+        p = _cofactor(M, rows, tau)
         if not p.is_zero():
             gens.append(p)
     return Ideal(M.ring, gens)
@@ -340,38 +338,36 @@ def _check_typeA_params(k, n):
         raise ParameterError(f"need 2 <= k <= n-2, got k={k}, n={n}")
 
 
-def typeA_left_ideal(k, n, s, cell=None):
+def typeA_left_ideal(k, n, s):
     """Ideal of the s-th long-arm node (s = 1 is the first arm node y_1)."""
     _check_typeA_params(k, n)
     if not 0 <= s <= n - k - 1:
         raise ParameterError(f"left arm index s={s} outside [0, {n - k - 1}]")
-    M = cell if cell is not None else big_cell_matrix(k, n)
-    return typeA_schubert_ideal(M, n, typeA_left_subset(k, s + 1))
+    return typeA_schubert_ideal(big_cell_matrix(k, n), typeA_left_subset(k, s + 1))
 
 
-def typeA_right_ideal(k, n, s, cell=None):
+def typeA_right_ideal(k, n, s):
     """Ideal of the walk node s steps down the short arm (s = 2 is z_1)."""
     _check_typeA_params(k, n)
     if not 0 <= s <= k:
         raise ParameterError(f"right walk index s={s} outside [0, {k}]")
-    M = cell if cell is not None else big_cell_matrix(k, n)
-    return typeA_schubert_ideal(M, n, typeA_right_subset(k, s))
+    return typeA_schubert_ideal(big_cell_matrix(k, n), typeA_right_subset(k, s))
 
 
-def typeA_left_chain(k, n, upto, cell=None):
+def typeA_left_chain(k, n, upto):
     """Linking coordinates p along the long-arm walk, positions 0..upto."""
     _check_typeA_params(k, n)
     if not 0 <= upto <= n - k:
         raise ParameterError(f"walk position {upto} outside [0, {n - k}]")
-    M = cell if cell is not None else big_cell_matrix(k, n)
+    M = big_cell_matrix(k, n)
     return [typeA_coordinate(M, typeA_left_subset(k, s)) for s in range(upto + 1)]
 
 
-def typeA_right_chain(k, n, upto, cell=None):
+def typeA_right_chain(k, n, upto):
     _check_typeA_params(k, n)
     if not 0 <= upto <= k:
         raise ParameterError(f"walk position {upto} outside [0, {k}]")
-    M = cell if cell is not None else big_cell_matrix(k, n)
+    M = big_cell_matrix(k, n)
     return [typeA_coordinate(M, typeA_right_subset(k, s)) for s in range(upto + 1)]
 
 
@@ -389,7 +385,7 @@ class Gr2Model:
         self.relations = relations
 
     def coordinate(self, s, t):
-        return self.ring.var(f"p_{s}{t}")
+        return self.ring.var(_grid_name("p", s, t, self.n > 9))
 
     def ideal_I(self):
         """(p_in : 1 <= i < n) together with the relations."""
@@ -418,22 +414,23 @@ class Gr2Model:
 
 
 def pluecker_gr2(n):
-    """The Gr(2, n) coordinate ring with its three-term quadratic relations."""
+    """The Gr(2, n) coordinate ring with its three-term quadratic relations.
+
+    The coordinates are p_st for s < t, named p_s_t once n > 9."""
     if n < 4:
         raise ParameterError("need n >= 4")
-    if n > 9:
-        raise SizeTooLargeError("two-digit Pluecker indices not supported")
-    names = [f"p_{s}{t}" for s in range(1, n + 1) for t in range(s + 1, n + 1)]
-    ring = Ring(names)
-    rels = []
-    for s, t, u, v in itertools.combinations(range(1, n + 1), 4):
-        rel = (
-            ring.var(f"p_{s}{t}") * ring.var(f"p_{u}{v}")
-            - ring.var(f"p_{s}{u}") * ring.var(f"p_{t}{v}")
-            + ring.var(f"p_{s}{v}") * ring.var(f"p_{t}{u}")
-        )
-        rels.append(rel)
-    return Gr2Model(n, ring, tuple(rels))
+    wide = n > 9
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    ring = Ring([_grid_name("p", s, t, wide) for s, t in pairs])
+
+    def p(s, t):
+        return ring.var(_grid_name("p", s, t, wide))
+
+    rels = tuple(
+        p(s, t) * p(u, v) - p(s, u) * p(t, v) + p(s, v) * p(t, u)
+        for s, t, u, v in itertools.combinations(range(1, n + 1), 4)
+    )
+    return Gr2Model(n, ring, rels)
 
 
 # -- bundled datasets --------------------------------------------------------

@@ -228,11 +228,16 @@ def _nf(work, basis, pk, state):
             raise _degree_error((shift & degree) + red.maxdeg, pk)
         lc = red.lc
         if lc != 1:
-            scale *= lc
-            for k in work:
-                work[k] *= lc
-            for k in rem:
-                rem[k] *= lc
+            # Scale by lc / gcd(c, lc) only, as _spoly_terms and exact_divide do.
+            g = gcd(c, lc)
+            c //= g
+            s = lc // g
+            if s != 1:
+                scale *= s
+                for k in work:
+                    work[k] *= s
+                for k in rem:
+                    rem[k] *= s
         c = -c
         for gm, gc in red.tail:
             nm = shift + gm
@@ -324,7 +329,13 @@ def _buchberger(inputs, pk, state):
     of two leading monomials is the guard-bit min, and it divides a content
     when subtracting it borrows from no guard bit.  The same sweep finds
     lm(h) dividing lm(g), which makes g redundant; g stays a reducer and a
-    pair partner, but is left out of the basis returned.
+    pair partner, but is left out of the basis returned.  Dropping g from
+    `G` when it is marked is also a correct Buchberger, but a much slower
+    one here: ``_nf`` reduces by the first divisor in insertion order, so
+    g's reductions move to the later h, and g's pairs are no longer formed.
+    On the lex cyclic-4 ideal of the tests that variant's remainder
+    coefficients reached 28,766 bits within 251 steps, and it did not finish
+    in 90 s; kept, g lets the basis finish in 157 steps, at 16 bits.
     """
     guard = pk.guard
     exps = pk.exps

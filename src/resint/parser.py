@@ -8,7 +8,9 @@ Grammar:
     VAR    := [A-Za-z_][A-Za-z0-9_]*
     INT    := [0-9]+
 
-Whitespace is insignificant.  NUMBER extends INT with an optional '/INT'
+Whitespace is insignificant.  INT takes ASCII digits only: a superscript or
+another script's digit is an unexpected character, a ParseError at its
+position.  NUMBER extends INT with an optional '/INT'
 denominator so that printed monic Groebner elements round-trip.
 """
 
@@ -28,6 +30,8 @@ class NegativeExponentError(ParseError):
 
 
 _OPS = set("+-*^()/")
+# ASCII only: str.isdigit also accepts superscripts and other scripts' digits.
+_DIGITS = set("0123456789")
 
 
 def _tokenize(source):
@@ -42,9 +46,9 @@ def _tokenize(source):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             tokens.append(("int", source[i:j], i))
             i = j

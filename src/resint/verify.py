@@ -121,6 +121,12 @@ def load_scenario(data, name="scenario"):
         raise ScenarioError(f"ring: {exc}") from None
     polys = {}
     for pname, expr in _typed(data.get("polys", {}), dict, "polys").items():
+        # A generator string is looked up among the names before it is
+        # parsed, so a name must not read as a variable or an expression.
+        if not pname.isidentifier() or pname in ring.variables:
+            raise ScenarioError(
+                f"polynomial name {pname!r} must be an identifier that is not a ring variable"
+            )
         _typed(expr, str, f"polynomial {pname!r}")
         try:
             polys[pname] = parse_poly(expr, ring)

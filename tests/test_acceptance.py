@@ -101,16 +101,16 @@ def test_criterion_3_type_a_identities(k, n):
     t0 = time.monotonic()
     M = big_cell_matrix(k, n)
     ring = M.ring
-    y1 = typeA_left_ideal(k, n, 1, cell=M)
-    z1 = typeA_right_ideal(k, n, 2, cell=M)
+    y1 = typeA_left_ideal(k, n, 1)
+    z1 = typeA_right_ideal(k, n, 2)
     ok = True
     for l in range(1, n - k):  # long arm: base coords walk 0..l, target y_l
-        base = Ideal(ring, typeA_left_chain(k, n, l, cell=M))
-        ok = ok and ideals_equal(quotient(base, z1), typeA_left_ideal(k, n, l, cell=M))
+        base = Ideal(ring, typeA_left_chain(k, n, l))
+        ok = ok and ideals_equal(quotient(base, z1), typeA_left_ideal(k, n, l))
     for m in range(1, k):  # short arm: base coords walk 0..m, target z_m
-        base = Ideal(ring, typeA_right_chain(k, n, m, cell=M))
+        base = Ideal(ring, typeA_right_chain(k, n, m))
         ok = ok and ideals_equal(
-            quotient(base, y1), typeA_right_ideal(k, n, m + 1, cell=M)
+            quotient(base, y1), typeA_right_ideal(k, n, m + 1)
         )
     _report(f"3 ({k},{n})", ok, time.monotonic() - t0, 120)
 

@@ -147,6 +147,20 @@ def test_family_errors(capsys):
     assert "unknown pluecker ideal 'bogus'" in capsys.readouterr().err
 
 
+def test_closed_pipe_ends_without_a_traceback():
+    # The pipe has no reader from the start, so the first write fails.
+    r, w = os.pipe()
+    os.close(r)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with os.fdopen(w, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "resint.cli", "family", "pluecker", "--n", "8"],
+            env=env, stdout=out, stderr=subprocess.PIPE, text=True,
+        )
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+
+
 def test_op_quotient(capsys):
     assert main(["op", "quotient", "--ring", "x,y", "--gens", "x*y", "--by", "y"]) == 0
     assert capsys.readouterr().out.strip() == "x"

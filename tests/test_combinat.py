@@ -6,6 +6,7 @@ import pytest
 
 from resint import ideals_equal
 from resint.combinat import (
+    DynkinDiagram,
     InvalidTypeRankError,
     NotExtremalError,
     RankMismatchError,
@@ -95,6 +96,20 @@ def test_build_gk_rejects_bad_start():
         build_gk(dynkin("E", 6), 4)  # interior node
     with pytest.raises(NotExtremalError):
         build_gk(dynkin("A", 5), 1)  # degenerate arm
+
+
+def test_build_gk_rejects_diagrams_that_are_not_t_shaped():
+    def diagram(rank, edges):
+        return DynkinDiagram("D", rank, frozenset(edges))
+
+    with pytest.raises(NotExtremalError, match="outside the diagram"):
+        build_gk(dynkin("D", 5), 6)
+    with pytest.raises(NotExtremalError, match="no trivalent node"):
+        build_gk(diagram(3, {(1, 2), (2, 3)}), 1)
+    with pytest.raises(NotExtremalError, match="second branch node"):
+        build_gk(diagram(6, {(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)}), 1)
+    with pytest.raises(NotExtremalError, match="both arms must be nonempty"):
+        build_gk(dynkin("A", 5), 5)
 
 
 def test_walk_chain_totally_ordered_in_bruhat():

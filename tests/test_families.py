@@ -66,6 +66,16 @@ def test_minor_counts():
         minors(M, 3)
 
 
+def test_minors_share_the_matrix_memo():
+    # matrix_minor, minors and the Schubert ideals all read the memo that
+    # the matrix keeps, so a minor is expanded once per matrix.
+    M = generic_matrix(3, 4)
+    twos = minors(M, 2)
+    assert matrix_minor(M, [1, 2], [1, 2]) is twos[0]
+    assert minors(M, 2)[5] is twos[5]
+    assert minors(generic_matrix(3, 4), 2)[0] is not twos[0]
+
+
 def _det_column_expansion(M, rows, cols):
     """Independent oracle: Laplace expansion along the first column."""
     if not rows:
@@ -231,10 +241,10 @@ def test_typeA_minor_rule_oracle():
     # n-k-l rows beyond.
     M = big_cell_matrix(2, 6)
     first_cols = Ideal(M.ring, minors_of_columns(M, 2, 3))
-    assert ideals_equal(typeA_left_ideal(2, 6, 1, cell=M), first_cols)
+    assert ideals_equal(typeA_left_ideal(2, 6, 1), first_cols)
     M2 = big_cell_matrix(3, 6)
     last_rows = Ideal(M2.ring, minors_of_rows(M2, [2, 3], 3))
-    assert ideals_equal(typeA_left_ideal(3, 6, 1, cell=M2), last_rows)
+    assert ideals_equal(typeA_left_ideal(3, 6, 1), last_rows)
 
 
 def minors_of_columns(M, size, upto_col):
@@ -260,6 +270,15 @@ def test_pluecker_relation_counts():
     assert len(pluecker_gr2(5).relations) == 5
     with pytest.raises(ParameterError):
         pluecker_gr2(3)
+
+
+def test_pluecker_names_take_a_separator_past_nine():
+    assert pluecker_gr2(9).ring.variables[:2] == ("p_12", "p_13")
+    model = pluecker_gr2(10)
+    assert model.ring.variables[:2] == ("p_1_2", "p_1_3")
+    assert str(model.coordinate(1, 10)) == "p_1_10"
+    assert len(model.relations) == 210
+    assert str(model.relations[0]) == "p_1_4*p_2_3 - p_1_3*p_2_4 + p_1_2*p_3_4"
 
 
 def test_pluecker_ideals():

@@ -79,6 +79,22 @@ def test_nf_exact_rational_remainder():
     assert r == R.var("y").scale(Fraction(3, 2))
 
 
+def test_nf_scales_by_the_smallest_factor():
+    # Against 2x - y every coefficient cancelled (4, then 8) is even, so no
+    # scaling is needed: 4x^2 + 6xy = (2x + 4y)(2x - y) + 4y^2.
+    R = Ring(["x", "y"])
+    pk = R.packer()
+
+    def items(source):
+        return groebner._int_terms(parse_poly(source, R), pk)[1]
+
+    reducer = groebner._epoly(parse_poly("2*x - y", R), pk)
+    assert reducer.lc == 2
+    rem, scale = groebner._nf(dict(items("4*x^2 + 6*x*y")), [reducer], pk, groebner._State(2))
+    assert scale == 1
+    assert rem == items("4*y^2")
+
+
 def _bases_and_remainders(ring):
     """Reduced bases of ideals whose reducers keep leading coefficients
     other than 1 after content stripping (8 and 4 for the first), and

@@ -103,7 +103,7 @@ def test_typeA_left_ideal_codims():
         from resint.families import typeA_left_ideal
 
         for l in range(1, n - k):
-            assert codim(typeA_left_ideal(k, n, l, cell=M)) == l + 1
+            assert codim(typeA_left_ideal(k, n, l)) == l + 1
 
 
 def test_residual_certificate_soundness():
@@ -138,9 +138,9 @@ def test_typeA_arm_ideals_linked_by_chain_coordinates():
     from resint.verify import check_link
 
     M = big_cell_matrix(2, 5)
-    a = Ideal(M.ring, typeA_left_chain(2, 5, 1, cell=M))
-    y1 = typeA_left_ideal(2, 5, 1, cell=M)
-    z1 = typeA_right_ideal(2, 5, 2, cell=M)
+    a = Ideal(M.ring, typeA_left_chain(2, 5, 1))
+    y1 = typeA_left_ideal(2, 5, 1)
+    z1 = typeA_right_ideal(2, 5, 2)
     ok, values = check_link(a, y1, z1)
     assert ok
     assert values["codim_a"] == 2

@@ -112,6 +112,32 @@ def test_undefined_poly_is_named():
     assert "missing_poly" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "polys, ideal_A",
+    [
+        ({"x": "y"}, ["x"]),  # a name that shadows a ring variable
+        ({"x + y": "x"}, ["x + y"]),  # a name that shadows an inline expression
+    ],
+    ids=["variable", "expression"],
+)
+def test_polynomial_name_must_not_shadow_a_variable_or_an_expression(polys, ideal_A):
+    bad = dict(
+        SCENARIO,
+        polys=polys,
+        ideals={"A": ideal_A, "B": ["y"]},
+        checks=[{"kind": "ideal_equals", "args": ["A", "B"]}],
+    )
+    name = next(iter(polys))
+    with pytest.raises(ScenarioError, match="polynomial name") as exc:
+        load_scenario(bad)
+    assert repr(name) in str(exc.value)
+
+
+def test_polynomial_name_that_is_no_variable_loads():
+    sc = load_scenario(dict(SCENARIO, polys={"x_y": "x*y"}, ideals={"a": ["x_y"]}, checks=[]))
+    assert [str(g) for g in sc.ideals["a"].generators] == ["x*y"]
+
+
 def test_zero_denominator_in_a_polynomial_is_a_scenario_error():
     bad = dict(SCENARIO, polys={"f": "1/0*x"})
     with pytest.raises(ScenarioError, match=r"polynomial 'f': zero denominator \(at position 2\)"):
