@@ -107,14 +107,7 @@ def _cmd_verify(args):
             checks=tuple(c._replace(containment_only=False) for c in scenario.checks)
         )
     report = run_scenario(scenario)
-    width = max((len(r.name) for r in report.checks), default=4)
-    for r in report.checks:
-        print(f"{r.name:<{width}}  {r.kind:<22} {r.verdict:<7} {r.millis} ms")
-    s = report.summary
-    print(
-        f"summary: {s['pass']} pass, {s['fail']} fail, "
-        f"{s['error']} error, {s['partial']} partial"
-    )
+    # The report first: a reader that closes stdout early must not cost it.
     json_path = args.json
     if json_path is None:
         json_path = Path(args.scenario).with_suffix(".report.json").name
@@ -123,6 +116,14 @@ def _cmd_verify(args):
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
+    width = max((len(r.name) for r in report.checks), default=4)
+    for r in report.checks:
+        print(f"{r.name:<{width}}  {r.kind:<22} {r.verdict:<7} {r.millis} ms")
+    s = report.summary
+    print(
+        f"summary: {s['pass']} pass, {s['fail']} fail, "
+        f"{s['error']} error, {s['partial']} partial"
+    )
     if s["error"]:
         return 2
     if s["fail"] or s["partial"]:

@@ -3,9 +3,10 @@ Bruhat order, Pfaffian labels, and DOT export.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from fractions import Fraction
 
-from .families import SkewMatrix
+from .families import SkewMatrix, pfaffian
 from .groebner import Ideal
 from .poly import PolyError
 
@@ -33,11 +34,8 @@ class WrongTypeError(CombinatError):
 # -- Dynkin diagrams (Bourbaki numbering) -----------------------------------
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
-    type: str
-    rank: int
-    edges: frozenset
+class DynkinDiagram(namedtuple("DynkinDiagram", "type rank edges")):
+    __slots__ = ()
 
     def neighbors(self, i):
         out = []
@@ -77,34 +75,13 @@ def dynkin(type, rank):
 # -- the rooted walk graph ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GkNode:
-    name: str
-    label: str
-    dynkin: int | None
-    word: tuple
-
-
-@dataclass(frozen=True)
-class GkGraph:
-    """The T-shaped walk graph: an anchor, the root coordinate node, the
-    chain down to the trivalent node, and the two arms.
-
-    Edges carry the Dynkin node entered along the walk; the anchor edge is
-    the distinguished one and carries no label.
-    """
-
-    diagram: DynkinDiagram
-    k: int
-    c: int
-    d: int
-    t: int
-    x_chain: tuple
-    u: int
-    y_arm: tuple
-    z_arm: tuple
-    nodes: tuple
-    edges: tuple  # (parent name, child name, dynkin label or None)
+# dynkin is the node's Dynkin label (None for the anchor and p0).
+GkNode = namedtuple("GkNode", "name label dynkin word")
+# The T-shaped walk graph: an anchor, the root coordinate node, the chain
+# down to the trivalent node, and the two arms. Edges are (parent name,
+# child name, Dynkin node entered along the walk); the anchor edge is the
+# distinguished one and carries None.
+GkGraph = namedtuple("GkGraph", "diagram k c d t x_chain u y_arm z_arm nodes edges")
 
 
 def _walk(diagram, start, prev):
@@ -169,8 +146,6 @@ def build_gk(diagram, k):
 
 def t_constraint(g):
     """1/(c-1) + 1/(d+1) + 1/(t+1) >= 1, exactly in rationals."""
-    from fractions import Fraction
-
     return Fraction(1, g.c - 1) + Fraction(1, g.d + 1) + Fraction(1, g.t + 1) >= 1
 
 
@@ -195,15 +170,12 @@ class TypeACrystal:
         return all(x <= y for x, y in zip(a, b))
 
     def lowering(self, j, el):
-        """f_j: replace j by j+1 when j is present and j+1 is not."""
-        if j in el and j + 1 not in el:
-            return tuple(sorted(x if x != j else j + 1 for x in el))
-        return None
+        """f_j: s_j when j is present and j+1 is not."""
+        return self.reflect(j, el) if j in el and j + 1 not in el else None
 
     def raising(self, j, el):
-        if j + 1 in el and j not in el:
-            return tuple(sorted(x if x != j + 1 else j for x in el))
-        return None
+        """e_j: s_j when j+1 is present and j is not."""
+        return self.reflect(j, el) if j + 1 in el and j not in el else None
 
     def reflect(self, j, el):
         """Action of the simple transposition s_j on a subset."""
@@ -240,35 +212,20 @@ class SpinCrystal:
         if len(el) != self.n:
             raise RankMismatchError("sign sequence of wrong length")
 
-    def lowering(self, j, el):
+    def _step(self, j, el, sign):
+        """s_j when the signs at (j, j+1) read (sign, -sign), or for j = n
+        those at (n-1, n) read (sign, sign); otherwise None."""
         self._check(el)
-        s = list(el)
         if j < 1 or j > self.n:
             raise CombinatError(f"operator index {j} outside [1, {self.n}]")
-        if j < self.n:
-            if s[j - 1] == 1 and s[j] == -1:
-                s[j - 1], s[j] = -1, 1
-                return tuple(s)
-            return None
-        if s[-2] == 1 and s[-1] == 1:
-            s[-2] = s[-1] = -1
-            return tuple(s)
-        return None
+        a, b = (el[j - 1], -el[j]) if j < self.n else (el[-2], el[-1])
+        return self.reflect(j, el) if a == b == sign else None
+
+    def lowering(self, j, el):
+        return self._step(j, el, 1)
 
     def raising(self, j, el):
-        self._check(el)
-        s = list(el)
-        if j < 1 or j > self.n:
-            raise CombinatError(f"operator index {j} outside [1, {self.n}]")
-        if j < self.n:
-            if s[j - 1] == -1 and s[j] == 1:
-                s[j - 1], s[j] = 1, -1
-                return tuple(s)
-            return None
-        if s[-2] == -1 and s[-1] == -1:
-            s[-2] = s[-1] = 1
-            return tuple(s)
-        return None
+        return self._step(j, el, -1)
 
     def _descendants(self, el):
         cached = self._desc.get(el)
@@ -330,8 +287,6 @@ def typeD_schubert_ideal(el, crystal, A):
         raise WrongTypeError("expected a SkewMatrix")
     if crystal.n != A.size:
         raise RankMismatchError("crystal rank and matrix size differ")
-    from .families import pfaffian
-
     gens = []
     for other in crystal.elements:
         if not crystal.bruhat_leq(other, el):

@@ -245,6 +245,17 @@ def submaximal_pfaffians(A):
     return [_pf(A, tuple(x for x in full if x != t)) for t in range(1, m + 1)]
 
 
+def _even_pfaffians(A, base, rest):
+    """pf(base + S) for each S of `rest` that makes an even set, smallest S
+    first; every index of `rest` lies above those of `base`."""
+    base = tuple(base)
+    return [
+        _pf(A, base + S)
+        for size in range(len(base) % 2, len(rest) + 1, 2)
+        for S in itertools.combinations(rest, size)
+    ]
+
+
 def pfaffian_ideal_containing(A, j):
     """The ideal of pf(S) over all even S containing [1, m-j].
 
@@ -254,15 +265,7 @@ def pfaffian_ideal_containing(A, j):
     m = A.size
     if not 3 <= j <= m:
         raise JOutOfRangeError(f"j={j} outside [3, {m}]")
-    need = tuple(range(1, m - j + 1))
-    rest = range(m - j + 1, m + 1)
-    gens = []
-    for extra in range(0, j + 1):
-        if (len(need) + extra) % 2:
-            continue
-        for S in itertools.combinations(rest, extra):
-            gens.append(_pf(A, need + S))
-    return Ideal(A.ring, gens)
+    return Ideal(A.ring, _even_pfaffians(A, range(1, m - j + 1), range(m - j + 1, m + 1)))
 
 
 def pfaffian_colon_base(A, j):
@@ -276,22 +279,14 @@ def pfaffian_colon_base(A, j):
         raise EvenSizeError("odd size required")
     if not 3 <= j <= m:
         raise JOutOfRangeError(f"j={j} outside [3, {m}]")
-    full = tuple(range(1, m + 1))
-    return [_pf(A, tuple(x for x in full if x != t)) for t in range(m - j + 1, m + 1)]
+    return submaximal_pfaffians(A)[m - j :]
 
 
 def bordered_pfaffian_ideal(A, j):
     """Even-sized Pfaffians of the bordered matrix containing the A block."""
     m = A.size
     T = ku_bordered(A, j)
-    base = tuple(range(1, m + 1))
-    gens = []
-    for extra in range(0, j + 1):
-        if (m + extra) % 2:
-            continue
-        for S in itertools.combinations(range(m + 1, m + j + 1), extra):
-            gens.append(_pf(T, base + S))
-    return Ideal(A.ring, gens)
+    return Ideal(A.ring, _even_pfaffians(T, range(1, m + 1), range(m + 1, m + j + 1)))
 
 
 # -- type A Schubert-cell ideals -------------------------------------------

@@ -8,15 +8,16 @@ Grammar:
     VAR    := [A-Za-z_][A-Za-z0-9_]*
     INT    := [0-9]+
 
-Whitespace is insignificant.  INT takes ASCII digits only: a superscript or
-another script's digit is an unexpected character, a ParseError at its
-position.  NUMBER extends INT with an optional '/INT'
+Whitespace is insignificant.  VAR is ``resint.poly.NAME``, the one name rule
+that ``Ring`` also checks.  VAR and INT are ASCII only: a superscript, an
+accented letter or another script's digit is an unexpected character, a
+ParseError at its position.  NUMBER extends INT with an optional '/INT'
 denominator so that printed monic Groebner elements round-trip.
 """
 
 from fractions import Fraction
 
-from .poly import Polynomial, PolyError, UnknownVariableError
+from .poly import NAME, Polynomial, PolyError, UnknownVariableError
 
 
 class ParseError(PolyError):
@@ -53,12 +54,10 @@ def _tokenize(source):
             tokens.append(("int", source[i:j], i))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("name", source[i:j], i))
-            i = j
+        name = NAME.match(source, i)
+        if name:
+            tokens.append(("name", name.group(), i))
+            i = name.end()
             continue
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))

@@ -28,14 +28,22 @@ limit of the package: a polynomial, product, power or ``MonomialOrder.key``
 of that degree or more raises ``DegreeOverflowError``.  The Buchberger
 engine in ``resint.groebner`` runs in the ring's order at the widest width
 of its inputs, and takes a polynomial's keys and numerators as they are.
+
+``NAME`` is the one rule for a name, ASCII only: a ring variable, a variable
+token of ``resint.parser`` and a scenario's polynomial name all match
+``[A-Za-z_][A-Za-z0-9_]*``.
 """
 
 import functools
+import re
 import struct
 from fractions import Fraction
 from itertools import compress
 from math import gcd
 from operator import add, mul, sub
+
+
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class PolyError(Exception):
@@ -310,9 +318,7 @@ class Ring:
         if len(set(variables)) != len(variables):
             raise PolyError("duplicate variable names")
         for v in variables:
-            if not v or not (v[0].isalpha() or v[0] == "_") or not all(
-                c.isalnum() or c == "_" for c in v
-            ):
+            if not NAME.fullmatch(v):
                 raise PolyError(f"invalid variable name {v!r}")
         self.variables = variables
         self.order = order if order is not None else GrevLex()

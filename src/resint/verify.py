@@ -23,7 +23,7 @@ from .groebner import (
     quotient,
 )
 from .parser import parse_poly
-from .poly import PolyError, Ring, order_from_tag
+from .poly import NAME, PolyError, Ring, order_from_tag
 
 FORMAT_VERSION = 1
 
@@ -123,9 +123,9 @@ def load_scenario(data, name="scenario"):
     for pname, expr in _typed(data.get("polys", {}), dict, "polys").items():
         # A generator string is looked up among the names before it is
         # parsed, so a name must not read as a variable or an expression.
-        if not pname.isidentifier() or pname in ring.variables:
+        if not NAME.fullmatch(pname) or pname in ring.variables:
             raise ScenarioError(
-                f"polynomial name {pname!r} must be an identifier that is not a ring variable"
+                f"polynomial name {pname!r} must be an ASCII name that is not a ring variable"
             )
         _typed(expr, str, f"polynomial {pname!r}")
         try:
@@ -143,7 +143,7 @@ def load_scenario(data, name="scenario"):
                 try:
                     gens.append(parse_poly(item, ring))
                 except PolyError as exc:
-                    if item.strip().isidentifier():
+                    if NAME.fullmatch(item.strip()):
                         raise ScenarioError(
                             f"ideal {iname!r} references undefined polynomial {item!r}"
                         ) from None

@@ -88,6 +88,7 @@ def test_verify_resolves_bundled_names(tmp_path, monkeypatch):
     [
         ("resint.cli", {"resint.families", "resint.combinat", "dataclasses"}),
         ("resint.families", {"dataclasses", "resint.verify"}),
+        ("resint.combinat", {"dataclasses"}),
     ],
 )
 def test_import_loads_only_what_it_runs(module, absent):
@@ -157,6 +158,23 @@ def test_closed_pipe_ends_without_a_traceback():
             [sys.executable, "-m", "resint.cli", "family", "pluecker", "--n", "8"],
             env=env, stdout=out, stderr=subprocess.PIPE, text=True,
         )
+    assert proc.stderr == ""
+    assert proc.returncode == 1
+
+
+def test_verify_writes_its_report_before_a_closed_pipe(tmp_path):
+    # The table goes to a pipe with no reader; the report is written first,
+    # so it holds every verdict although the run exits 1.
+    r, w = os.pipe()
+    os.close(r)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with os.fdopen(w, "wb") as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "resint.cli", "verify", "e6"],
+            cwd=tmp_path, env=env, stdout=out, stderr=subprocess.PIPE, text=True,
+        )
+    report = json.loads((tmp_path / "e6.report.json").read_text())
+    assert report["summary"]["pass"] == 12
     assert proc.stderr == ""
     assert proc.returncode == 1
 

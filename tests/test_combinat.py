@@ -6,6 +6,7 @@ import pytest
 
 from resint import ideals_equal
 from resint.combinat import (
+    CombinatError,
     DynkinDiagram,
     InvalidTypeRankError,
     NotExtremalError,
@@ -160,6 +161,15 @@ def test_typeA_operators_partial_inverse():
                     assert c.lowering(j, up) == el
 
 
+def test_typeA_operator_values():
+    # Exact values, so that a step that is wrong the same way in both
+    # directions still fails.
+    c = TypeACrystal(2, 5)
+    assert c.lowering(2, (1, 2)) == (1, 3)
+    assert c.lowering(1, (1, 2)) is None
+    assert c.raising(2, (1, 3)) == (1, 2)
+
+
 # -- spin crystal -------------------------------------------------------------------
 
 
@@ -173,6 +183,14 @@ def test_spin_operator_examples():
     assert s.lowering(1, (1, -1, 1, 1, -1)) == (-1, 1, 1, 1, -1)
     assert s.lowering(1, (-1, 1, 1, 1, -1)) is None
     assert s.lowering(5, (1, 1, 1, 1, 1)) == (1, 1, 1, -1, -1)
+    assert s.raising(5, (1, 1, 1, -1, -1)) == (1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("j", [0, 6])
+@pytest.mark.parametrize("op", ["lowering", "raising"])
+def test_spin_operator_index_outside_range(op, j):
+    with pytest.raises(CombinatError, match=f"operator index {j} outside"):
+        getattr(SpinCrystal(5), op)(j, (1, 1, 1, 1, 1))
 
 
 def test_spin_partial_inverse_exhaustive():

@@ -114,12 +114,12 @@ def test_overlong_integer_names_its_position(source, position):
 
 @pytest.mark.parametrize(
     "source, position",
-    [("x^²", 2), ("٣*x", 0), ("12٣*x", 2)],
-    ids=["superscript-two", "arabic-indic-three", "after-ascii-digits"],
+    [("x^²", 2), ("٣*x", 0), ("12٣*x", 2), ("x²", 1)],
+    ids=["superscript-two", "arabic-indic-three", "after-ascii-digits", "in-a-name"],
 )
 def test_non_ascii_digit_is_an_unexpected_character(source, position):
     # INT is [0-9]+: str.isdigit would read U+0663 as 3 and U+00B2 as a
-    # digit that int() then refuses.
-    with pytest.raises(ParseError, match="unexpected character") as exc:
+    # digit that int() then refuses. VAR is ASCII too, so x² is x, then ².
+    with pytest.raises(ParseError, match="unexpected character '[²٣]'") as exc:
         parse_poly(source, R)
     assert exc.value.position == position

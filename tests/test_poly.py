@@ -182,6 +182,12 @@ def test_duplicate_variables_rejected():
         Ring(["x", "x"])
 
 
+@pytest.mark.parametrize("name", ["", "1x", "x y", "x²", "é"])
+def test_variable_name_outside_the_ascii_name_rule_rejected(name):
+    with pytest.raises(PolyError, match="invalid variable name"):
+        Ring([name])
+
+
 def test_random_exact_arithmetic_no_rounding():
     rng = random.Random(7)
     R = Ring(["a", "b"])

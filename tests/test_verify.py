@@ -117,8 +117,9 @@ def test_undefined_poly_is_named():
     [
         ({"x": "y"}, ["x"]),  # a name that shadows a ring variable
         ({"x + y": "x"}, ["x + y"]),  # a name that shadows an inline expression
+        ({"é": "x"}, ["é"]),  # a name outside the ASCII name rule
     ],
-    ids=["variable", "expression"],
+    ids=["variable", "expression", "non-ascii"],
 )
 def test_polynomial_name_must_not_shadow_a_variable_or_an_expression(polys, ideal_A):
     bad = dict(
