@@ -152,6 +152,11 @@ def t_constraint(g):
 # -- type A subset crystal ----------------------------------------------------
 
 
+def _check_operator(crystal, j):
+    if j not in crystal.operators:
+        raise CombinatError(f"operator index {j} outside [1, {len(crystal.operators)}]")
+
+
 class TypeACrystal:
     """All k-subsets of [1, n], Bruhat-ordered componentwise."""
 
@@ -160,9 +165,13 @@ class TypeACrystal:
             raise CombinatError(f"need 1 <= k <= n, got k={k}, n={n}")
         self.k = k
         self.n = n
+        self.operators = range(1, n)
         self.elements = [
             tuple(s) for s in itertools.combinations(range(1, n + 1), k)
         ]
+
+    def label(self, el):
+        return "{" + ",".join(str(x) for x in el) + "}"
 
     def bruhat_leq(self, a, b):
         if len(a) != self.k or len(b) != self.k:
@@ -171,14 +180,17 @@ class TypeACrystal:
 
     def lowering(self, j, el):
         """f_j: s_j when j is present and j+1 is not."""
-        return self.reflect(j, el) if j in el and j + 1 not in el else None
+        nxt = self.reflect(j, el)
+        return nxt if j in el and j + 1 not in el else None
 
     def raising(self, j, el):
         """e_j: s_j when j+1 is present and j is not."""
-        return self.reflect(j, el) if j + 1 in el and j not in el else None
+        nxt = self.reflect(j, el)
+        return nxt if j + 1 in el and j not in el else None
 
     def reflect(self, j, el):
         """Action of the simple transposition s_j on a subset."""
+        _check_operator(self, j)
         has_j, has_j1 = j in el, j + 1 in el
         if has_j == has_j1:
             return el
@@ -201,12 +213,16 @@ class SpinCrystal:
         if n < 4:
             raise CombinatError("spin crystal needs n >= 4")
         self.n = n
+        self.operators = range(1, n + 1)
         self.elements = [
             s
             for s in itertools.product((1, -1), repeat=n)
             if sum(1 for x in s if x < 0) % 2 == 0
         ]
         self._desc = {}
+
+    def label(self, el):
+        return "".join("+" if s > 0 else "-" for s in el)
 
     def _check(self, el):
         if len(el) != self.n:
@@ -215,11 +231,9 @@ class SpinCrystal:
     def _step(self, j, el, sign):
         """s_j when the signs at (j, j+1) read (sign, -sign), or for j = n
         those at (n-1, n) read (sign, sign); otherwise None."""
-        self._check(el)
-        if j < 1 or j > self.n:
-            raise CombinatError(f"operator index {j} outside [1, {self.n}]")
+        nxt = self.reflect(j, el)
         a, b = (el[j - 1], -el[j]) if j < self.n else (el[-2], el[-1])
-        return self.reflect(j, el) if a == b == sign else None
+        return nxt if a == b == sign else None
 
     def lowering(self, j, el):
         return self._step(j, el, 1)
@@ -232,7 +246,7 @@ class SpinCrystal:
         if cached is not None:
             return cached
         out = {el}
-        for j in range(1, self.n + 1):
+        for j in self.operators:
             nxt = self.lowering(j, el)
             if nxt is not None:
                 out |= self._descendants(nxt)
@@ -249,15 +263,14 @@ class SpinCrystal:
         return tuple(1 for _ in range(self.n))
 
     def top(self):
-        for el in self.elements:
-            if all(self.lowering(j, el) is None for j in range(1, self.n + 1)):
-                return el
-        raise CombinatError("no sink element")
+        """The one sink: all minus signs, with a final plus for odd n."""
+        return (-1,) * (self.n - 1) + (1 if self.n % 2 else -1,)
 
     def reflect(self, j, el):
         """Weyl action: s_j swaps positions (j, j+1); s_n flips both signs
         at (n-1, n)."""
         self._check(el)
+        _check_operator(self, j)
         s = list(el)
         if j < self.n:
             s[j - 1], s[j] = s[j], s[j - 1]
@@ -297,50 +310,36 @@ def typeD_schubert_ideal(el, crystal, A):
 # -- DOT export ----------------------------------------------------------------
 
 
-def _dot_escape(s):
-    return s.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def gk_to_dot(g):
-    """Byte-deterministic DOT rendering of a walk graph."""
-    lines = ["digraph gk {"]
-    for node in g.nodes:
-        lines.append(f'  "{node.name}" [label="{_dot_escape(node.label)}"];')
-    for a, b, lab in g.edges:
-        if lab is None:
-            lines.append(f'  "{a}" -> "{b}" [style=bold];')
-        else:
-            lines.append(f'  "{a}" -> "{b}" [label="{lab}"];')
+def _dot(graph, nodes, edges, highlight=frozenset()):
+    """Byte-deterministic DOT text of a digraph. `nodes` are (name, label)
+    pairs, drawn bold red when the name is in `highlight`; `edges` are
+    (tail, head, label), and an edge labelled None is drawn bold instead."""
+    lines = [f"digraph {graph} {{"]
+    for name, label in nodes:
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        style = " style=bold color=red" if name in highlight else ""
+        lines.append(f'  "{name}" [label="{label}"{style}];')
+    for a, b, label in edges:
+        attrs = "style=bold" if label is None else f'label="{label}"'
+        lines.append(f'  "{a}" -> "{b}" [{attrs}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _subset_name(el):
-    return "{" + ",".join(str(x) for x in el) + "}"
-
-
-def _signs_name(el):
-    return "".join("+" if s > 0 else "-" for s in el)
+def gk_to_dot(g):
+    """DOT rendering of a walk graph; the anchor edge is drawn bold."""
+    return _dot("gk", [(node.name, node.label) for node in g.nodes], g.edges)
 
 
 def crystal_to_dot(crystal, highlight=()):
     """DOT rendering of a crystal graph, edges labelled by operator index."""
-    if isinstance(crystal, TypeACrystal):
-        name = _subset_name
-        ops = range(1, crystal.n)
-    else:
-        name = _signs_name
-        ops = range(1, crystal.n + 1)
-    highlight = {name(e) for e in highlight}
-    lines = ["digraph crystal {"]
-    for el in sorted(crystal.elements):
-        label = name(el)
-        style = ' style=bold color=red' if label in highlight else ""
-        lines.append(f'  "{label}" [label="{_dot_escape(label)}"{style}];')
-    for el in sorted(crystal.elements):
-        for j in ops:
+    name = crystal.label
+    els = sorted(crystal.elements)
+    edges = []
+    for el in els:
+        for j in crystal.operators:
             nxt = crystal.lowering(j, el)
             if nxt is not None:
-                lines.append(f'  "{name(el)}" -> "{name(nxt)}" [label="{j}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+                edges.append((name(el), name(nxt), j))
+    nodes = [(name(el), name(el)) for el in els]
+    return _dot("crystal", nodes, edges, {name(e) for e in highlight})

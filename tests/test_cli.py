@@ -146,6 +146,10 @@ def test_family_errors(capsys):
     capsys.readouterr()
     assert main(["family", "pluecker", "--n", "5", "--ideal", "bogus"]) == 2
     assert "unknown pluecker ideal 'bogus'" in capsys.readouterr().err
+    assert main(["family", "typeA-left", "--k", "2"]) == 2
+    assert "missing required flags: --n, --s" in capsys.readouterr().err
+    assert main(["family", "e7", "--ideal", "nope"]) == 2
+    assert "unknown ideal 'nope' in dataset e7" in capsys.readouterr().err
 
 
 def test_closed_pipe_ends_without_a_traceback():
@@ -297,6 +301,24 @@ def test_graph_crystal_counts(capsys):
 def test_graph_invalid_parameters(capsys):
     assert main(["graph", "gk", "E", "6", "4"]) == 2
     capsys.readouterr()
+
+
+def test_graph_errors_exit_two(tmp_path, capsys):
+    assert main(["graph", "crystal", "E", "6", "1"]) == 2
+    assert "crystal export covers types A and D" in capsys.readouterr().err
+    # The output path is a directory, so the DOT file cannot be written.
+    assert main(["graph", "gk", "E", "6", "6", "--dot", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
+def test_verify_unwritable_report_exits_two(tmp_path, capsys):
+    assert main(["--json", str(tmp_path), "verify", "e6"]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write report" in captured.err
+    # The report comes before the table, so nothing is printed.
+    assert captured.out == ""
 
 
 def test_exact_flag_upgrades_partial(tmp_path):

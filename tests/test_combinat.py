@@ -186,11 +186,43 @@ def test_spin_operator_examples():
     assert s.raising(5, (1, 1, 1, -1, -1)) == (1, 1, 1, 1, 1)
 
 
-@pytest.mark.parametrize("j", [0, 6])
-@pytest.mark.parametrize("op", ["lowering", "raising"])
-def test_spin_operator_index_outside_range(op, j):
-    with pytest.raises(CombinatError, match=f"operator index {j} outside"):
-        getattr(SpinCrystal(5), op)(j, (1, 1, 1, 1, 1))
+# Both crystals, every step, j = 0 and j = max + 1; ids are "<op>-<j>" for
+# SpinCrystal(5) and "typeA-<op>-<j>" for TypeACrystal(2, 5).
+_OUTSIDE_RANGE = [
+    pytest.param(crystal, el, op, j, top, id=f"{prefix}{op}-{j}")
+    for prefix, crystal, el, top in [
+        ("", SpinCrystal(5), (1, 1, 1, 1, 1), 5),
+        ("typeA-", TypeACrystal(2, 5), (1, 5), 4),
+    ]
+    for op in ("lowering", "raising", "reflect")
+    for j in (0, top + 1)
+]
+
+
+@pytest.mark.parametrize("crystal, el, op, j, top", _OUTSIDE_RANGE)
+def test_spin_operator_index_outside_range(crystal, el, op, j, top):
+    with pytest.raises(CombinatError, match=rf"operator index {j} outside \[1, {top}\]"):
+        getattr(crystal, op)(j, el)
+
+
+def test_crystal_operator_ranges_and_labels():
+    a, s = TypeACrystal(2, 5), SpinCrystal(5)
+    assert a.operators == range(1, 5)
+    assert s.operators == range(1, 6)
+    assert a.label((1, 5)) == "{1,5}"
+    assert s.label((1, -1, 1, 1, -1)) == "+-++-"
+
+
+def test_spin_top_values():
+    # The sink of the lowering operators, as the exhaustive search found it.
+    tops = {
+        4: "----", 5: "----+", 6: "------", 7: "------+", 8: "--------",
+        9: "--------+", 10: "----------", 11: "----------+", 12: "------------",
+    }
+    for n, top in tops.items():
+        s = SpinCrystal(n)
+        assert s.label(s.top()) == top
+        assert all(s.lowering(j, s.top()) is None for j in s.operators)
 
 
 def test_spin_partial_inverse_exhaustive():

@@ -36,7 +36,7 @@ from resint import (
 )
 from resint import groebner
 from resint.families import pluecker_gr2
-from resint.groebner import GroebnerBasis, certify_basis
+from resint.groebner import GroebnerBasis, certify_basis, exact_divide, s_polynomial
 from resint.poly import mon_div, mon_divides, mon_gcd, mon_lcm
 
 
@@ -220,6 +220,29 @@ def test_membership_ring_mismatch_raises_before_computing():
     with pytest.raises(RingMismatchError):
         is_member(Ring(["u", "v"]).var("u"), I)
     assert I._gb is None
+
+
+# Each takes (x, u, I, J): x and I = (x^2 - y, x*y - 1) in k[x, y], u and
+# J = (u*v - 1) in k[u, v].
+_MIXED_RING_CALLS = {
+    "is_member": lambda x, u, I, J: is_member(u, I),
+    "Ideal": lambda x, u, I, J: Ideal(I.ring, [x, u]),
+    "normal_form": lambda x, u, I, J: normal_form(u, GroebnerBasis(I.ring, [x])),
+    "ideals_equal": lambda x, u, I, J: ideals_equal(I, J),
+    "intersect": lambda x, u, I, J: intersect(I, J),
+    "exact_divide": lambda x, u, I, J: exact_divide(x, u),
+    "quotient": lambda x, u, I, J: quotient(I, J),
+    "s_polynomial": lambda x, u, I, J: s_polynomial(x, u),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED_RING_CALLS))
+def test_ring_mismatch_raises_before_computing(name):
+    R, S = Ring(["x", "y"]), Ring(["u", "v"])
+    I, J = Ideal(R, ["x^2 - y", "x*y - 1"]), Ideal(S, ["u*v - 1"])
+    with pytest.raises(RingMismatchError):
+        _MIXED_RING_CALLS[name](R.var("x"), S.var("u"), I, J)
+    assert I._gb is None and J._gb is None
 
 
 def test_ideal_equality_examples():

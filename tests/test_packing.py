@@ -28,7 +28,8 @@ from resint import (
     is_member,
     normal_form,
 )
-from resint.groebner import DEGREE_LIMIT, GroebnerError
+from resint import groebner
+from resint.groebner import DEGREE_LIMIT, GroebnerError, certify_basis
 from resint.poly import (
     FIELD_WIDTHS,
     DegreeOverflowError,
@@ -242,6 +243,26 @@ def test_spoly_shift_past_8_bits_is_redone_at_16():
     gb = groebner_basis(Ideal(R, [x + y**100, x * y**30]))
     assert gb.elements == (y**130, x + y**100)
     assert [p._packer.width for p in gb] == [16, 8]
+
+
+def test_pair_lcm_past_8_bits_is_redone_at_16(monkeypatch):
+    R = Ring(["x", "y", "z"], GrevLex())
+    x, y, z = R.gens()
+    f, g = x**100 * y + z, x * y**100 + z
+    # Both inputs pack at 8 bits; their pair lcm x^100*y^100 has degree 200.
+    assert f._packer.width == g._packer.width == 8
+    raised = []
+    trusted = groebner._degree_error
+
+    def spy(degree, pk):
+        raised.append((degree, pk.width))
+        return trusted(degree, pk)
+
+    monkeypatch.setattr(groebner, "_degree_error", spy)
+    gb = groebner_basis(Ideal(R, [f, g]))
+    assert raised == [(200, 8)]
+    assert gb.elements == (x**99 * z - y**99 * z, g, f, y**199 * z + x**98 * z**2)
+    assert certify_basis(gb)
 
 
 def test_normal_form_past_8_bits_is_redone_at_16():
