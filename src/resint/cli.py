@@ -1,19 +1,18 @@
 """Command-line front end: verify scenarios, print ideal families, run ad hoc
-Groebner operations, export graphs as DOT.
+Groebner operations, export graphs as DOT.  ``FAMILIES`` and ``OPS`` name each
+family and op once, and ``main`` is the one place where bad input becomes exit 2.
 
 Exit codes: 0 all checks pass, 1 any check fails or is partial (or the reader
-closed standard output early), 2 errors.
+closed standard output early), 2 a check error or any bad input.
 """
 
 import argparse
 import contextvars
-import json
 import os
 import sys
 from pathlib import Path
 
 from .groebner import (
-    GroebnerError,
     Ideal,
     codim,
     groebner_basis,
@@ -25,18 +24,65 @@ from .groebner import (
 )
 from .parser import parse_poly
 from .poly import PolyError, Ring, order_from_tag
-from .verify import ScenarioError, bundled_scenario_path, load_scenario_file, run_scenario
+from .verify import bundled_scenario_path, load_scenario_file, run_scenario
 
-FAMILIES = (
-    "typeA-left",
-    "typeA-right",
-    "pfaffian-submax",
-    "pfaffian-containing",
-    "ku-bordered",
-    "pluecker",
-    "e6",
-    "e7",
-)
+
+def _pluecker_ideal(families, args):
+    model = families.pluecker_gr2(args.n)
+    if args.ideal in (None, "relations"):
+        return model.relations
+    if args.ideal == "I":
+        return model.ideal_I().generators
+    if args.ideal.startswith("K_"):
+        return model.ideal_K(int(args.ideal[2:])).generators
+    if args.ideal.startswith("I_"):
+        return model.ideal_I_j(int(args.ideal[2:])).generators
+    raise PolyError(f"unknown pluecker ideal {args.ideal!r}")
+
+
+def _dataset_ideal(dataset, args):
+    if args.ideal is None:
+        raise PolyError(f"--ideal is required; available: {', '.join(sorted(dataset.ideals))}")
+    if args.ideal not in dataset.ideals:
+        raise PolyError(f"unknown ideal {args.ideal!r} in dataset {args.name}")
+    return dataset.ideals[args.ideal].generators
+
+
+# name -> (required flags, builder(families module, args) -> generators)
+FAMILIES = {
+    "typeA-left": (("k", "n", "s"), lambda f, a: f.typeA_left_ideal(a.k, a.n, a.s).generators),
+    "typeA-right": (("k", "n", "s"), lambda f, a: f.typeA_right_ideal(a.k, a.n, a.s).generators),
+    "pfaffian-submax": (("m",), lambda f, a: f.submaximal_pfaffians(f.generic_skew(a.m))),
+    "pfaffian-containing": (
+        ("m", "j"),
+        lambda f, a: f.pfaffian_ideal_containing(f.generic_skew(a.m), a.j).generators,
+    ),
+    "ku-bordered": (
+        ("m", "j"),
+        lambda f, a: f.bordered_pfaffian_ideal(f.generic_skew(a.m), a.j).generators,
+    ),
+    "pluecker": (("n",), _pluecker_ideal),
+    "e6": ((), lambda f, a: _dataset_ideal(f.e6_dataset(), a)),
+    "e7": ((), lambda f, a: _dataset_ideal(f.e7_dataset(), a)),
+}
+
+
+def _ideal(text, ring):
+    return Ideal(ring, [parse_poly(s, ring) for s in text.split(";") if s.strip()])
+
+
+# The flags an op may read, each with its parser and help text.
+_OP_FLAGS = {"by": (_ideal, "second ideal"), "poly": (parse_poly, "polynomial to test")}
+# name -> (the flag it reads or None, lines(ideal, flag value)).  The engine
+# names are looked up when an op runs, so a wrapper bound over one later runs.
+OPS = {
+    "gb": (None, lambda ideal, _: groebner_basis(ideal)),
+    "quotient": ("by", lambda ideal, other: groebner_basis(quotient(ideal, other))),
+    "intersect": ("by", lambda ideal, other: groebner_basis(intersect(ideal, other))),
+    "member": ("poly", lambda ideal, f: ["true" if is_member(f, ideal) else "false"]),
+    "codim": (None, lambda ideal, _: [codim(ideal)]),
+    "mu": (None, lambda ideal, _: [len(min_generators(ideal))]),
+}
 
 
 def _positive_int(text):
@@ -67,19 +113,17 @@ def _build_parser():
 
     p_family = sub.add_parser("family", help="print the generators of a family")
     p_family.add_argument("name", choices=FAMILIES)
-    p_family.add_argument("--k", type=int)
-    p_family.add_argument("--n", type=int)
-    p_family.add_argument("--s", type=int)
-    p_family.add_argument("--m", type=int)
-    p_family.add_argument("--j", type=int)
+    for flag in ("k", "n", "s", "m", "j"):
+        p_family.add_argument("--" + flag, type=int)
     p_family.add_argument("--ideal", help="named ideal for e6/e7/pluecker")
 
     p_op = sub.add_parser("op", help="ad hoc ideal operation")
-    p_op.add_argument("op", choices=["gb", "quotient", "intersect", "member", "codim", "mu"])
+    p_op.add_argument("op", choices=OPS)
     p_op.add_argument("--ring", required=True, help="comma-separated variable names")
     p_op.add_argument("--gens", required=True, help="semicolon-separated generators")
-    p_op.add_argument("--by", help="second ideal (quotient/intersect)")
-    p_op.add_argument("--poly", help="polynomial to test (member)")
+    for flag, (_, text) in _OP_FLAGS.items():
+        readers = "/".join(name for name, (reads, _) in OPS.items() if reads == flag)
+        p_op.add_argument("--" + flag, help=f"{text} ({readers})")
 
     p_graph = sub.add_parser("graph", help="export a walk graph or crystal as DOT")
     p_graph.add_argument("kind", choices=["gk", "crystal"])
@@ -97,11 +141,7 @@ def _resolve_scenario_path(path):
 
 
 def _cmd_verify(args):
-    try:
-        scenario = load_scenario_file(_resolve_scenario_path(args.scenario))
-    except (OSError, json.JSONDecodeError, ScenarioError, PolyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    scenario = load_scenario_file(_resolve_scenario_path(args.scenario))
     if args.exact:
         scenario = scenario._replace(
             checks=tuple(c._replace(containment_only=False) for c in scenario.checks)
@@ -114,8 +154,7 @@ def _cmd_verify(args):
     try:
         Path(json_path).write_text(report.to_json(), encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 2
+        raise OSError(f"cannot write report: {exc}") from exc
     width = max((len(r.name) for r in report.checks), default=4)
     for r in report.checks:
         print(f"{r.name:<{width}}  {r.kind:<22} {r.verdict:<7} {r.millis} ms")
@@ -137,117 +176,49 @@ def _require(args, names):
         raise PolyError(f"missing required flags: {', '.join('--' + n for n in missing)}")
 
 
-def _family_generators(args):
+def _cmd_family(args):
     # Imported here so that `resint verify` does not load the families.
     from . import families
 
-    name = args.name
-    if name == "typeA-left":
-        _require(args, ["k", "n", "s"])
-        return families.typeA_left_ideal(args.k, args.n, args.s).generators
-    if name == "typeA-right":
-        _require(args, ["k", "n", "s"])
-        return families.typeA_right_ideal(args.k, args.n, args.s).generators
-    if name == "pfaffian-submax":
-        _require(args, ["m"])
-        return families.submaximal_pfaffians(families.generic_skew(args.m))
-    if name == "pfaffian-containing":
-        _require(args, ["m", "j"])
-        A = families.generic_skew(args.m)
-        return families.pfaffian_ideal_containing(A, args.j).generators
-    if name == "ku-bordered":
-        _require(args, ["m", "j"])
-        A = families.generic_skew(args.m)
-        return families.bordered_pfaffian_ideal(A, args.j).generators
-    if name == "pluecker":
-        _require(args, ["n"])
-        model = families.pluecker_gr2(args.n)
-        if args.ideal in (None, "relations"):
-            return model.relations
-        if args.ideal == "I":
-            return model.ideal_I().generators
-        if args.ideal.startswith("K_"):
-            return model.ideal_K(int(args.ideal[2:])).generators
-        if args.ideal.startswith("I_"):
-            return model.ideal_I_j(int(args.ideal[2:])).generators
-        raise PolyError(f"unknown pluecker ideal {args.ideal!r}")
-    dataset = families.e6_dataset() if name == "e6" else families.e7_dataset()
-    if args.ideal is None:
-        raise PolyError(
-            f"--ideal is required; available: {', '.join(sorted(dataset.ideals))}"
-        )
-    if args.ideal not in dataset.ideals:
-        raise PolyError(f"unknown ideal {args.ideal!r} in dataset {name}")
-    return dataset.ideals[args.ideal].generators
-
-
-def _cmd_family(args):
-    try:
-        gens = _family_generators(args)
-    except (PolyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for g in gens:
+    required, build = FAMILIES[args.name]
+    _require(args, required)
+    for g in build(families, args):
         print(g)
     return 0
 
 
 def _cmd_op(args):
-    try:
-        ring = Ring([v.strip() for v in args.ring.split(",")], order_from_tag(args.order))
-        gens = [parse_poly(s, ring) for s in args.gens.split(";") if s.strip()]
-        ideal = Ideal(ring, gens)
-        if args.op == "gb":
-            for g in groebner_basis(ideal):
-                print(g)
-        elif args.op in ("quotient", "intersect"):
-            _require(args, ["by"])
-            other = Ideal(ring, [parse_poly(s, ring) for s in args.by.split(";") if s.strip()])
-            result = quotient(ideal, other) if args.op == "quotient" else intersect(ideal, other)
-            for g in groebner_basis(result):
-                print(g)
-        elif args.op == "member":
-            _require(args, ["poly"])
-            print("true" if is_member(parse_poly(args.poly, ring), ideal) else "false")
-        elif args.op == "codim":
-            print(codim(ideal))
-        elif args.op == "mu":
-            print(len(min_generators(ideal)))
-    except (PolyError, GroebnerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ring = Ring([v.strip() for v in args.ring.split(",")], order_from_tag(args.order))
+    ideal = _ideal(args.gens, ring)
+    reads, lines = OPS[args.op]
+    value = None
+    if reads is not None:
+        _require(args, [reads])
+        parse, _ = _OP_FLAGS[reads]
+        value = parse(getattr(args, reads), ring)
+    for line in lines(ideal, value):
+        print(line)
     return 0
 
 
 def _cmd_graph(args):
     from . import combinat
 
-    try:
-        if args.kind == "gk":
-            g = combinat.build_gk(combinat.dynkin(args.type, args.rank), args.k)
-            text = combinat.gk_to_dot(g)
-        else:
-            if args.type == "A":
-                crystal = combinat.TypeACrystal(args.k, args.rank + 1)
-            elif args.type == "D":
-                crystal = combinat.SpinCrystal(args.rank)
-            else:
-                raise combinat.CombinatError(
-                    "crystal export covers types A and D; the exceptional"
-                    " verifications use the bundled datasets"
-                )
-            text = combinat.crystal_to_dot(crystal)
-    except PolyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.kind == "gk":
+        text = combinat.gk_to_dot(combinat.build_gk(combinat.dynkin(args.type, args.rank), args.k))
+    elif args.type == "A":
+        text = combinat.crystal_to_dot(combinat.TypeACrystal(args.k, args.rank + 1))
+    elif args.type == "D":
+        text = combinat.crystal_to_dot(combinat.SpinCrystal(args.rank))
+    else:
+        raise combinat.CombinatError(
+            "crystal export covers types A and D; the exceptional"
+            " verifications use the bundled datasets"
+        )
     if args.dot is None:
         sys.stdout.write(text)
     else:
-        try:
-            args.dot.write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        args.dot.write_text(text, encoding="utf-8")
     return 0
 
 
@@ -273,6 +244,10 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except (PolyError, OSError, ValueError) as exc:
+        # Bad input from the command line or a file: exit 2, never a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -173,9 +173,16 @@ class TypeACrystal:
     def label(self, el):
         return "{" + ",".join(str(x) for x in el) + "}"
 
+    def _check(self, el):
+        bounds = (0, *el, self.n + 1)
+        if len(el) != self.k or not all(
+            isinstance(x, int) and lo < x for lo, x in zip(bounds, bounds[1:])
+        ):
+            raise RankMismatchError(f"{el!r} is not a {self.k}-subset of [1, {self.n}]")
+
     def bruhat_leq(self, a, b):
-        if len(a) != self.k or len(b) != self.k:
-            raise RankMismatchError("subset size mismatch")
+        self._check(a)
+        self._check(b)
         return all(x <= y for x, y in zip(a, b))
 
     def lowering(self, j, el):
@@ -190,6 +197,7 @@ class TypeACrystal:
 
     def reflect(self, j, el):
         """Action of the simple transposition s_j on a subset."""
+        self._check(el)
         _check_operator(self, j)
         has_j, has_j1 = j in el, j + 1 in el
         if has_j == has_j1:

@@ -13,6 +13,8 @@ that ``Ring`` also checks.  VAR and INT are ASCII only: a superscript, an
 accented letter or another script's digit is an unexpected character, a
 ParseError at its position.  NUMBER extends INT with an optional '/INT'
 denominator so that printed monic Groebner elements round-trip.
+Parentheses nest at most ``NESTING_LIMIT`` (100) deep; a deeper '(' is a
+ParseError at its position, not a RecursionError.
 """
 
 from fractions import Fraction
@@ -29,6 +31,8 @@ class ParseError(PolyError):
 class NegativeExponentError(ParseError):
     pass
 
+
+NESTING_LIMIT = 100
 
 _OPS = set("+-*^()/")
 # ASCII only: str.isdigit also accepts superscripts and other scripts' digits.
@@ -79,6 +83,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.ring = ring
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -150,8 +155,12 @@ class _Parser:
                 p = p ** _int(self.expect("int"))
             return p
         if kind == "(":
+            if self.depth == NESTING_LIMIT:
+                raise ParseError(f"parentheses nested deeper than {NESTING_LIMIT}", at)
+            self.depth += 1
             p = self.expr()
             self.expect(")")
+            self.depth -= 1
             return p
         raise ParseError(f"expected a factor, found {text!r}", at)
 

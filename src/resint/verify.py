@@ -13,7 +13,6 @@ import time
 from collections import namedtuple
 
 from .groebner import (
-    GroebnerError,
     Ideal,
     codim,
     ideals_equal,
@@ -187,7 +186,11 @@ def load_scenario(data, name="scenario"):
 
 def load_scenario_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            # The decoder recurses once per nested array or object.
+            raise ScenarioError(f"{path}: JSON nested too deeply to read") from None
     return load_scenario(data, name=str(path))
 
 
@@ -311,7 +314,7 @@ def _run_check(scenario, check):
     t0 = time.monotonic()
     try:
         outcome, values = run(*args)
-    except (GroebnerError, PolyError) as exc:
+    except PolyError as exc:
         millis = int((time.monotonic() - t0) * 1000)
         return CheckResult(check.name, check.kind, "error", {"error": str(exc)}, millis)
     millis = int((time.monotonic() - t0) * 1000)

@@ -75,6 +75,23 @@ def test_verify_missing_file_exits_two(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff", "can't decode byte 0xff in position 0"),
+        (b"[" * 100000, "s.json: JSON nested too deeply to read"),
+    ],
+    ids=["not-utf-8", "nested-json"],
+)
+def test_verify_unreadable_scenario_exits_two(tmp_path, capsys, content, message):
+    path = tmp_path / "s.json"
+    path.write_bytes(content)
+    assert main(["--json", str(tmp_path / "r.json"), "verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_verify_resolves_bundled_names(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--json", str(tmp_path / "r.json"), "verify", "e6"]) == 0
@@ -150,6 +167,8 @@ def test_family_errors(capsys):
     assert "missing required flags: --n, --s" in capsys.readouterr().err
     assert main(["family", "e7", "--ideal", "nope"]) == 2
     assert "unknown ideal 'nope' in dataset e7" in capsys.readouterr().err
+    assert main(["family", "pluecker", "--n", "6", "--ideal", "K_x"]) == 2
+    assert "error: invalid literal for int()" in capsys.readouterr().err
 
 
 def test_closed_pipe_ends_without_a_traceback():
@@ -208,6 +227,19 @@ def test_op_mu(capsys):
 def test_op_parse_error_exits_two(capsys):
     assert main(["op", "codim", "--ring", "x", "--gens", "x +"]) == 2
     capsys.readouterr()
+    nested = "(" * 2000 + "x" + ")" * 2000
+    assert main(["op", "gb", "--ring", "x", "--gens", nested]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: parentheses nested deeper than 100 (at position 100)\n"
+
+
+def test_op_parses_only_the_flag_it_reads(capsys):
+    # gb reads neither --by nor --poly, so neither is parsed.
+    argv = ["op", "gb", "--ring", "x", "--gens", "x", "--poly", "(((", "--by", ")"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "x\n"
+    assert main(["op", "member", "--ring", "x", "--gens", "x", "--by", "((("]) == 2
+    assert "missing required flags: --poly" in capsys.readouterr().err
 
 
 def test_op_zero_denominator_exits_two(capsys):
@@ -233,6 +265,13 @@ def _verify_one_poly(tmp_path, source):
 def test_verify_zero_denominator_in_scenario_exits_two(tmp_path, capsys):
     assert _verify_one_poly(tmp_path, "1/0*x") == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_verify_deeply_nested_polynomial_exits_two(tmp_path, capsys):
+    assert _verify_one_poly(tmp_path, "(" * 2000 + "x" + ")" * 2000) == 2
+    err = capsys.readouterr().err
+    assert "polynomial 'f': parentheses nested deeper than 100 (at position 100)" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_scenario_past_degree_limit_exits_two(tmp_path, capsys):

@@ -205,6 +205,23 @@ def test_spin_operator_index_outside_range(crystal, el, op, j, top):
         getattr(crystal, op)(j, el)
 
 
+@pytest.mark.parametrize(
+    "op, j, el",
+    [
+        ("lowering", 4, (4, 9)),
+        ("reflect", 1, (1,)),
+        ("raising", 2, (3, 3)),
+        ("lowering", 1, (2, 1)),
+        ("bruhat_leq", (1, 2), (0, 2)),
+    ],
+    ids=["lowering-past-n", "reflect-short", "raising-repeated", "lowering-unsorted", "bruhat-zero"],
+)
+def test_typeA_element_outside_the_crystal(op, j, el):
+    # Each is no 2-subset of [1, 5], so no step or comparison may take it.
+    with pytest.raises(RankMismatchError, match=r"is not a 2-subset of \[1, 5\]"):
+        getattr(TypeACrystal(2, 5), op)(j, el)
+
+
 def test_crystal_operator_ranges_and_labels():
     a, s = TypeACrystal(2, 5), SpinCrystal(5)
     assert a.operators == range(1, 5)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from resint import ParseError, Ring, UnknownVariableError, parse_poly
-from resint.parser import NegativeExponentError
+from resint.parser import NESTING_LIMIT, NegativeExponentError
 from resint.poly import DegreeOverflowError
 
 R = Ring(["x", "y"])
@@ -32,6 +32,23 @@ def test_whitespace_insignificant():
 
 def test_parentheses():
     assert parse_poly("(x + 1)*(x - 1)", R) == parse_poly("x^2 - 1", R)
+    deepest = "(" * NESTING_LIMIT + "x" + ")" * NESTING_LIMIT
+    assert parse_poly(deepest, R) == R.var("x")
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        ("(" * 101 + "x" + ")" * 101, 100),
+        ("y*( (" + "(" * 99 + "x" + ")" * 101, 103),
+        ("(" * 2000 + "x" + ")" * 2000, 100),
+    ],
+    ids=["101", "after-a-factor", "2000"],
+)
+def test_nesting_past_the_limit_names_its_position(source, position):
+    with pytest.raises(ParseError, match="parentheses nested deeper than 100") as exc:
+        parse_poly(source, R)
+    assert exc.value.position == position
 
 
 def test_unknown_variable_names_offender():
