@@ -204,11 +204,17 @@ def _cmd_op(args):
 def _cmd_graph(args):
     from . import combinat
 
+    diagram = combinat.dynkin(args.type, args.rank)
+    diagram.check_node(args.k)
     if args.kind == "gk":
-        text = combinat.gk_to_dot(combinat.build_gk(combinat.dynkin(args.type, args.rank), args.k))
+        text = combinat.gk_to_dot(combinat.build_gk(diagram, args.k))
     elif args.type == "A":
         text = combinat.crystal_to_dot(combinat.TypeACrystal(args.k, args.rank + 1))
     elif args.type == "D":
+        if args.k != args.rank:
+            raise combinat.CombinatError(
+                f"the type D crystal is the spin crystal of node {args.rank}, got node {args.k}"
+            )
         text = combinat.crystal_to_dot(combinat.SpinCrystal(args.rank))
     else:
         raise combinat.CombinatError(

@@ -49,6 +49,11 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "type rank edges")):
     def degree(self, i):
         return len(self.neighbors(i))
 
+    def check_node(self, k):
+        """Raise NotExtremalError unless k is a node of the diagram."""
+        if not 1 <= k <= self.rank:
+            raise NotExtremalError(f"node {k} outside the diagram")
+
 
 def dynkin(type, rank):
     type = type.upper()
@@ -98,8 +103,7 @@ def _walk(diagram, start, prev):
 
 def build_gk(diagram, k):
     """Walk graph from the extremal node k, with per-node Weyl words."""
-    if not 1 <= k <= diagram.rank:
-        raise NotExtremalError(f"node {k} outside the diagram")
+    diagram.check_node(k)
     if diagram.type == "A":
         x_chain, u = [], k
     elif diagram.degree(k) != 1:

@@ -584,6 +584,16 @@ def _fresh_aux_name(ring):
     return f"t_aux{i}"
 
 
+def _grevlex_twin(ring):
+    """The grevlex ring on `ring`'s variables: `ring` itself when it is grevlex."""
+    return ring if ring.order == GrevLex() else Ring(ring.variables)
+
+
+def _moved(polys, ring):
+    """The polynomials `polys`, of a ring on `ring`'s variables, in `ring`."""
+    return [p if p.ring == ring else Polynomial(ring, dict(p.terms)) for p in polys]
+
+
 def intersect(a, b):
     """Generators of a ∩ b via the t / (1-t) elimination trick."""
     if a.ring != b.ring:
@@ -591,12 +601,10 @@ def intersect(a, b):
     ring = a.ring
     if not a.generators or not b.generators:
         return Ideal(ring, ())
-    # The elimination runs in the grevlex ring on the same variables: a ring
-    # of another order moves its generators there and the result back.
-    gens = a.generators + b.generators
-    twin = ring if ring.order == GrevLex() else Ring(ring.variables)
-    if twin is not ring:
-        gens = [Polynomial(twin, dict(g.terms)) for g in gens]
+    # The elimination runs in the grevlex twin: a ring of another order
+    # moves its generators there and the result back.
+    twin = _grevlex_twin(ring)
+    gens = _moved(a.generators + b.generators, twin)
     work_ring = Ring((_fresh_aux_name(ring),) + ring.variables, BlockElim(1))
     # BlockElim(1) ranks by the degree in t, then by grevlex in the ring's
     # variables.  At any width its layout is the grevlex layout with one
@@ -633,9 +641,8 @@ def intersect(a, b):
         mask = (1 << low) - 1
         rows = low + width
         keys = [((k >> rows) << low) + (k & mask) for k in p._keys]
-        p = Polynomial._stored(twin, keys, p._nums, p._den, twin.packer(width))
-        out.append(p if twin is ring else Polynomial(ring, dict(p.terms)))
-    return Ideal(ring, out)
+        out.append(Polynomial._stored(twin, keys, p._nums, p._den, twin.packer(width)))
+    return Ideal(ring, _moved(out, ring))
 
 
 def exact_divide(g, f):
@@ -707,20 +714,44 @@ def exact_divide(g, f):
 
 
 def quotient(a, b):
-    """The colon ideal a : b, via a : f = (1/f)(a ∩ (f)) per generator."""
+    """The colon ideal a : b, via a : f = (1/f)(a ∩ (f)) per generator f of b.
+
+    A generator f that already lies in a has a : f = (1), so it is skipped,
+    and a : b is the unit ideal when every generator is.  Membership is
+    tested against a's basis in the grevlex twin, which ``intersect`` uses
+    too: in a grevlex ring that is a's own basis, computed once and cached
+    on a, and no other order's basis is computed.  The remaining parts are
+    intersected in a canonical order, by their number of generators and then
+    each generator's degree and terms, so the fold does not depend on the
+    order of b's generators.
+    """
     if a.ring != b.ring:
         raise RingMismatchError("ideals from different rings")
     if not b.generators:
         raise ZeroIdealDivisorError("colon by the zero ideal")
     ring = a.ring
-    result = None
-    for f in b.generators:
+    twin = _grevlex_twin(ring)
+    within = a if twin is ring else Ideal(twin, _moved(a.generators, twin))
+    parts = []
+    for f, g in zip(b.generators, _moved(b.generators, twin)):
+        if is_member(g, within):
+            continue
         if f._keys == (0,):
-            part = Ideal(ring, a.generators)
+            parts.append(Ideal(ring, a.generators))
         else:
             inter = intersect(a, Ideal(ring, (f,)))
-            part = Ideal(ring, [exact_divide(g, f) for g in inter.generators])
-        result = part if result is None else intersect(result, part)
+            parts.append(Ideal(ring, [exact_divide(h, f) for h in inter.generators]))
+    if not parts:
+        return Ideal(ring, (ring.one(),))
+    parts.sort(
+        key=lambda part: (
+            len(part.generators),
+            [(h.total_degree(), h.terms) for h in part.generators],
+        )
+    )
+    result = parts[0]
+    for part in parts[1:]:
+        result = intersect(result, part)
     return result
 
 

@@ -191,6 +191,8 @@ def load_scenario_file(path):
         except RecursionError:
             # The decoder recurses once per nested array or object.
             raise ScenarioError(f"{path}: JSON nested too deeply to read") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ScenarioError(f"{path}: {exc}") from None
     return load_scenario(data, name=str(path))
 
 

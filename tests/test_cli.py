@@ -79,16 +79,18 @@ def test_verify_missing_file_exits_two(capsys):
     "content, message",
     [
         (b"\xff", "can't decode byte 0xff in position 0"),
-        (b"[" * 100000, "s.json: JSON nested too deeply to read"),
+        (b"{not json", "Expecting property name enclosed in double quotes"),
+        (b"[" * 100000, "JSON nested too deeply to read"),
     ],
-    ids=["not-utf-8", "nested-json"],
+    ids=["not-utf-8", "not-json", "nested-json"],
 )
 def test_verify_unreadable_scenario_exits_two(tmp_path, capsys, content, message):
     path = tmp_path / "s.json"
     path.write_bytes(content)
     assert main(["--json", str(tmp_path / "r.json"), "verify", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    # The message names the file, so a script reading several can tell which.
+    assert err.startswith(f"error: {path}: ") and message in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -327,14 +329,18 @@ def test_graph_gk_dot(tmp_path):
 
 
 def test_graph_crystal_counts(capsys):
+    from resint.combinat import SpinCrystal, TypeACrystal, crystal_to_dot
+
     assert main(["graph", "crystal", "A", "5", "2"]) == 0
     out = capsys.readouterr().out
     nodes = [l for l in out.splitlines() if "label=" in l and "->" not in l]
     assert len(nodes) == 15
+    assert out == crystal_to_dot(TypeACrystal(2, 6))
     assert main(["graph", "crystal", "D", "5", "5"]) == 0
     out = capsys.readouterr().out
     nodes = [l for l in out.splitlines() if "label=" in l and "->" not in l]
     assert len(nodes) == 16
+    assert out == crystal_to_dot(SpinCrystal(5))
 
 
 def test_graph_invalid_parameters(capsys):
@@ -342,9 +348,30 @@ def test_graph_invalid_parameters(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind", ["gk", "crystal"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["D", "5", "0"], "node 0 outside the diagram"),
+        (["D", "5", "99"], "node 99 outside the diagram"),
+        (["A", "5", "6"], "node 6 outside the diagram"),
+        (["A", "0", "1"], "type A needs rank >= 1"),
+        (["D", "3", "3"], "type D needs rank >= 4"),
+    ],
+    ids=["D-5-0", "D-5-99", "A-5-6", "A-0-1", "D-3-3"],
+)
+def test_graph_checks_type_rank_and_node(capsys, kind, argv, message):
+    """A crystal's type, rank and node are checked as a walk graph's are."""
+    assert main(["graph", kind, *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_graph_errors_exit_two(tmp_path, capsys):
     assert main(["graph", "crystal", "E", "6", "1"]) == 2
     assert "crystal export covers types A and D" in capsys.readouterr().err
+    # The type D crystal is the one of the spin node, the last.
+    assert main(["graph", "crystal", "D", "5", "4"]) == 2
+    assert "the spin crystal of node 5, got node 4" in capsys.readouterr().err
     # The output path is a directory, so the DOT file cannot be written.
     assert main(["graph", "gk", "E", "6", "6", "--dot", str(tmp_path)]) == 2
     captured = capsys.readouterr()

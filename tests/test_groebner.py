@@ -290,6 +290,23 @@ def _gr26_K3_cap_p16():
     return model.ideal_K(3), lambda K: intersect(K, Ideal(K.ring, [p16])).generators
 
 
+def _gr26_I_dividing_K3():
+    model = pluecker_gr2(6)
+    K = model.ideal_K(3)
+    # A fresh K each time, so every run computes K's basis itself.
+    return model.ideal_I(), lambda I: groebner_basis(quotient(Ideal(K.ring, K.generators), I)).elements
+
+
+def _colon_by_three_parts():
+    # No generator of b lies in a, and the intersections of its three parts
+    # take different steps in different orders.
+    R = Ring(["x", "y", "z"])
+    a = Ideal(R, ["x^3", "y*z"])
+    return Ideal(R, ["y - z", "z - x", "y*z - x*y"]), lambda b: groebner_basis(
+        quotient(Ideal(R, a.generators), b)
+    ).elements
+
+
 def _lex_cyclic():
     R = Ring(["x", "y", "z", "w"], Lex())
     I = Ideal(R, ["x + y + z + w", "x*y + y*z + z*w + w*x", "x*y*z + y*z*w + z*w*x + w*x*y",
@@ -302,13 +319,16 @@ def _lex_cyclic():
     [
         lambda: (_gr26_K3(), lambda I: groebner_basis(I).elements),
         _gr26_K3_cap_p16,
+        _gr26_I_dividing_K3,
+        _colon_by_three_parts,
         _lex_cyclic,
     ],
-    ids=["gr26-K3-basis", "gr26-K3-cap-p16", "lex-cyclic4"],
+    ids=["gr26-K3-basis", "gr26-K3-cap-p16", "gr26-K3-colon-I", "colon-three-parts", "lex-cyclic4"],
 )
 def test_engine_work_independent_of_input_order(case, steps):
-    """Inputs enter the engine in a canonical order, so every shuffle of the
-    generators takes the same reduction steps to the same basis."""
+    """Inputs enter the engine in a canonical order, and ``quotient`` folds
+    its parts in one, so every shuffle of the generators takes the same
+    reduction steps to the same basis."""
     ideal, compute = case()
     rng = random.Random(5)
     counts, results = set(), set()
@@ -434,6 +454,55 @@ def test_intersect_and_quotient_with_t_taken(tag):
     assert _in_ring(K, R)
     assert ideals_equal(K, Ideal(R, ["t*x*y", "x*y^2"]))
     assert ideals_equal(quotient(A, B), Ideal(R, ["x"]))
+
+
+@pytest.mark.parametrize("tag", ORDER_TAGS)
+def test_quotient_is_the_unit_ideal_exactly_when_the_divisor_lies_in_the_ideal(tag):
+    R = Ring(["x", "y", "z"], order_from_tag(tag))
+    a = Ideal(R, ["x^2", "x*y - z"])
+    unit = (R.one(),)
+    assert quotient(a, Ideal(R, ["x^2*y", "x*y^2 - y*z", "x*z"])).generators == unit
+    assert quotient(Ideal(R, ["x - 1", "2"]), Ideal(R, ["x", "3"])).generators == unit
+    for b in (["x*z", "y"], ["3"], ["z + 1", "x^2*y"]):
+        colon = quotient(a, Ideal(R, b))
+        assert _in_ring(colon, R)
+        assert not is_member(R.one(), colon)
+
+
+def test_quotient_skips_divisor_generators_in_the_ideal(monkeypatch):
+    """x*y lies in (x*y, x*z), so (x*y, x*z) : (x, x*y) takes the one
+    intersection of a with (x) and no fold."""
+    calls = []
+    inner = groebner.intersect
+
+    def counted(a, b):
+        calls.append(b.generators)
+        return inner(a, b)
+
+    monkeypatch.setattr(groebner, "intersect", counted)
+    R = Ring(["x", "y", "z"])
+    a = Ideal(R, ["x*y", "x*z"])
+    assert [str(g) for g in groebner_basis(quotient(a, Ideal(R, ["x", "x*y"])))] == ["z", "y"]
+    assert calls == [(R.var("x"),)]
+
+
+def test_lex_quotient_computes_no_lex_basis(monkeypatch):
+    """Membership and elimination both run in the grevlex twin, so a lex
+    ring's colon never computes a lex basis (some of which do not finish)."""
+    orders = []
+    inner = groebner.groebner_basis
+
+    def recorded(ideal):
+        orders.append(ideal.ring.order)
+        return inner(ideal)
+
+    monkeypatch.setattr(groebner, "groebner_basis", recorded)
+    R = Ring(["x", "y", "z"], Lex())
+    colon = quotient(Ideal(R, ["x*y", "x*z - y^2"]), Ideal(R, ["y", "x*y", "z^2 - 1"]))
+    assert orders and Lex() not in orders
+    monkeypatch.undo()
+    assert _in_ring(colon, R)
+    assert ideals_equal(colon, Ideal(R, ["x*y", "x*z - y^2", "y^3"]))
 
 
 def test_quotient_by_zero_ideal_rejected():

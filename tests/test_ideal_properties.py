@@ -4,7 +4,9 @@ For ideals a, b, c: a ∩ b lies in a and in b, (a : b) * b lies in a, and a
 lies in a : b.  Containment is tested generator by generator with
 ``is_member``.  The colon also obeys (a : b) : c = a : bc and
 a : (b + c) = (a : b) ∩ (a : c), and a : b is the unit ideal exactly when b
-lies in a.
+lies in a.  In lex, grevlex and block rings, with inhomogeneous and
+constant generators, ``quotient`` agrees with the plain per-generator route
+that neither skips a generator nor orders the fold.
 """
 
 from fractions import Fraction
@@ -16,11 +18,14 @@ from resint import (
     Ideal,
     Polynomial,
     Ring,
+    groebner_basis,
     ideals_equal,
     intersect,
     is_member,
+    order_from_tag,
     quotient,
 )
+from resint.groebner import exact_divide
 
 RING = Ring(["x", "y", "z"])
 ONE = Polynomial(RING, {(0, 0, 0): Fraction(1)})
@@ -81,3 +86,43 @@ def test_colon_by_a_sum_is_the_intersection_of_colons(a, b, c):
 @given(a=ideals, b=ideals)
 def test_colon_is_the_unit_ideal_exactly_when_the_divisor_lies_in_the_ideal(a, b):
     assert is_member(ONE, quotient(a, b)) == _contained(b, a)
+
+
+def _ideals_in(ring):
+    """Ideals of ring whose generators have terms of degree 0 to 2."""
+    monomial = st.lists(st.integers(0, 2), max_size=2).map(
+        lambda factors: tuple(factors.count(i) for i in range(3))
+    )
+    generator = st.dictionaries(
+        monomial, st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=3
+    ).map(lambda d: Polynomial(ring, {m: Fraction(c) for m, c in d.items()}))
+    return st.lists(generator, min_size=1, max_size=3).map(lambda gs: Ideal(ring, gs))
+
+
+def _unskipped_quotient(a, b):
+    """a : b as (1/f)(a ∩ (f)) for every generator f of b, a : c = a for a
+    constant c, intersected in b's generator order."""
+    ring = a.ring
+    result = None
+    for f in b.generators:
+        if f.total_degree() == 0:
+            part = a
+        else:
+            inter = intersect(a, Ideal(ring, [f]))
+            part = Ideal(ring, [exact_divide(g, f) for g in inter.generators])
+        result = part if result is None else intersect(result, part)
+    return result
+
+
+_ideal_pairs = st.sampled_from(
+    [Ring(["x", "y", "z"], order_from_tag(tag)) for tag in ("grevlex", "lex", "block:1")]
+).flatmap(lambda ring: st.tuples(_ideals_in(ring), _ideals_in(ring)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=_ideal_pairs)
+def test_colon_agrees_with_the_unskipped_route(pair):
+    a, b = pair
+    colon = quotient(a, b)
+    assert groebner_basis(colon).elements == groebner_basis(_unskipped_quotient(a, b)).elements
+    assert groebner_basis(colon).is_unit == all(is_member(f, a) for f in b.generators)
