@@ -30,8 +30,8 @@ that holds their largest degree plus one for ``t``.  A ring of another order
 intersects in its grevlex twin, the grevlex ring on the same variables, and
 moves the generators back.  Eliminating other variables is a basis in a
 ``BlockElim(k)`` ring with them in front, keeping the elements whose leading
-monomial has no front variable.  ``exact_divide`` divides on packed ints and
-integer numerators with a heap.
+monomial has no front variable.  ``quotient`` finds each part a : f in the
+grevlex twin too, by the reverse-lex property, moving keys by shifts.
 """
 
 import contextvars
@@ -228,7 +228,7 @@ def _nf(work, basis, pk, state):
             raise _degree_error((shift & degree) + red.maxdeg, pk)
         lc = red.lc
         if lc != 1:
-            # Scale by lc / gcd(c, lc) only, as _spoly_terms and exact_divide do.
+            # Scale by lc / gcd(c, lc) only, as _spoly_terms does.
             g = gcd(c, lc)
             c //= g
             s = lc // g
@@ -575,13 +575,13 @@ def ideals_equal(a, b):
     return ga.elements == gb.elements
 
 
-def _fresh_aux_name(ring):
-    if "t" not in ring.variables:
-        return "t"
-    i = 0
-    while f"t_aux{i}" in ring.variables:
-        i += 1
-    return f"t_aux{i}"
+def _fresh_aux_name(ring, taken=()):
+    """The first of t, t_aux0, t_aux1, ... not in `ring` or `taken`."""
+    used = set(ring.variables).union(taken)
+    name, i = "t", 0
+    while name in used:
+        name, i = f"t_aux{i}", i + 1
+    return name
 
 
 def _grevlex_twin(ring):
@@ -645,82 +645,99 @@ def intersect(a, b):
     return Ideal(ring, _moved(out, ring))
 
 
-def exact_divide(g, f):
-    """g / f when f divides g exactly; raises PolyError otherwise.
+def _colon_route(a, homogeneous):
+    """A function giving generators of a : f for each non-constant f of a's
+    grevlex ring, by the reverse-lex property.
 
-    Long division on packed keys and integer numerators, shaped like the
-    engine's normal form: a heap of negated keys, a dict of coefficients and
-    a scale that keeps every quotient coefficient an integer.  A quotient
-    term of degree above deg g - deg f proves that f does not divide g, so
-    the division stops there early.  Keys stay exact without that test: at
-    w bits a quotient term passes the guard test only below degree
-    2**(w - 1), so times a term of f no field reaches 2**w.
+    S = k[x][y]/(y^d - f), d = deg f, is free over k[x] on 1, ..., y^(d-1),
+    so (a : f)S = aS : y^d, whose preimage is J : y^d for J = a + (y^d - f).
+    For J homogeneous and y last under grevlex, in(J : y) = in(J) : y (Bayer
+    and Stillman, Invent. Math. 1987; Eisenbud, Prop. 15.12): J : y^d has
+    the basis g / y^min(d, v(g)), v(g) the least y-exponent of g's terms
+    (dividing fully gives the saturation).  Rewritten by y^(qd + r) =
+    f^q y^r, their coefficients of 1, ..., y^(d-1) generate a : f.
+    Otherwise a's cached grevlex basis and f are homogenized by a fresh z
+    before y (Cox, Little and O'Shea, Ch. 8 section 4), and z = 1 is set at
+    the end.  a is lifted once for every f.  Keys lift and drop by shifts,
+    keeping their order, and f is replaced by its numerator F: a : f = a : F.
     """
-    if g.ring != f.ring:
-        raise RingMismatchError("polynomials from different rings")
-    if f.is_zero():
-        raise PolyError("division by the zero polynomial")
-    if g.is_zero():
-        return g
-    pk = max(g._packer, f._packer, key=lambda p: p.width)
-    top = g.total_degree() - f.total_degree()
-    guard, degree = pk.guard, pk.degree
-    fkeys = f._packed(pk)
-    flead, fc = fkeys[0], f._nums[0]
-    ftail = list(zip(fkeys[1:], f._nums[1:]))
-    gkeys = g._packed(pk)
-    work = dict(zip(gkeys, g._nums))
-    heap = [-k for k in gkeys]
-    heapq.heapify(heap)
-    qkeys = []
-    qnums = []
-    scale = 1
-    # Invariant: scale * G == Q * F + work, for G and F the numerators of g
-    # and f and Q the quotient terms so far.
-    while heap:
-        m = -heapq.heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        q = m - flead
-        if q & guard or (q & degree) > top:
-            raise PolyError("not an exact multiple")
-        s = abs(fc) // gcd(c, fc)
-        if s != 1:
-            scale *= s
-            c *= s
-            qnums = [v * s for v in qnums]
-            for k in work:
-                work[k] *= s
-        qc = c // fc
-        qkeys.append(q)
-        qnums.append(qc)
-        for k, fk in ftail:
-            nm = q + k
-            v = work.get(nm)
-            if v is None:
-                work[nm] = -qc * fk
-                heapq.heappush(heap, -nm)
-            else:
-                v -= qc * fk
-                if v:
-                    work[nm] = v
-                else:
-                    del work[nm]
-    # g = G / den(g) and f = F / den(f), so g / f = Q * den(f) / (scale * den(g)).
-    return Polynomial._stored(
-        g.ring, qkeys, [v * f._den for v in qnums], scale * g._den, pk
-    )
+    ring = a.ring
+    n = ring.arity
+    y = _fresh_aux_name(ring)
+    added = (y,) if homogeneous else (_fresh_aux_name(ring, (y,)), y)
+    k = len(added)
+    yring = Ring(ring.variables + added)
+
+    def lift(p, nums, den):
+        """p in the y-ring over `nums` and `den`, homogenized by z: its rows
+        go under k more rows of its degree, its exponents over k more."""
+        width = p._packer.width
+        low, rows, exps = width * (n + 1), width * (n + k + 1), width * (k + 1)
+        mask, degree = (1 << (width * n)) - 1, (1 << width) - 1
+        degrees = 1 + sum(1 << (width * (2 * (n + k) - j)) for j in range(k))
+        pk = yring.packer(width)
+        z = pk.units[n] if k == 2 else 0
+        total = p.total_degree()
+        keys = [
+            ((key >> low) << rows)
+            + (((key >> width) & mask) << exps)
+            + (key & degree) * degrees
+            + (total - (key & degree)) * z
+            for key in p._keys
+        ]
+        return Polynomial._stored(yring, keys, nums, den, pk)
+
+    gens = a.generators if homogeneous else groebner_basis(a).elements
+    lifted = [lift(g, g._nums, g._den) for g in gens]
+
+    def colon(f):
+        d = f.total_degree()
+        F = lift(f, f._nums, 1)
+        powers = {}  # (width, q): the terms of F^q at width
+        out = []
+        for g in groebner_basis(Ideal(yring, lifted + [F - yring.var(y) ** d])).elements:
+            width = g._packer.width
+            unit, field = g._packer.units[-1], (1 << width) - 1
+            ey = [(key >> width) & field for key in g._keys]  # y is the last variable
+            s = min(d, min(ey))
+            groups = [{} for _ in range(d)]
+            for key, e, c in zip(g._keys, ey, g._nums):
+                q, r = divmod(e - s, d)
+                if q and (width, q) not in powers:
+                    p = F**q
+                    powers[width, q] = list(zip(p._packed(yring.packer(width)), p._nums))
+                acc = groups[r]
+                key -= e * unit
+                for fm, fc in powers[width, q] if q else ((0, 1),):
+                    acc[key + fm] = acc.get(key + fm, 0) + c * fc
+            # A y-free key drops to ring by the rows and exponents of x
+            # alone, which sets z = 1; the top row of x is its degree.
+            low, rows, exps = width * (n + 1), width * (n + k + 1), width * (k + 1)
+            mask, top = (1 << (width * n)) - 1, width * (n - 1)
+            for acc in groups:
+                keys = sorted([m for m, c in acc.items() if c], reverse=True)
+                if keys:
+                    dropped = [
+                        ((x := (m >> rows) & mask) << low) + (((m >> exps) & mask) << width)
+                        + (x >> top)
+                        for m in keys
+                    ]
+                    nums = [acc[m] for m in keys]
+                    out.append(Polynomial._stored(ring, dropped, nums, 1, ring.packer(width)))
+        return out
+
+    return colon
 
 
 def quotient(a, b):
-    """The colon ideal a : b, via a : f = (1/f)(a ∩ (f)) per generator f of b.
+    """The colon ideal a : b, the intersection of the parts a : f over the
+    generators f of b.
 
     A generator f that already lies in a has a : f = (1), so it is skipped,
     and a : b is the unit ideal when every generator is.  Membership is
-    tested against a's basis in the grevlex twin, which ``intersect`` uses
-    too: in a grevlex ring that is a's own basis, computed once and cached
-    on a, and no other order's basis is computed.  The remaining parts are
+    tested against a's basis in the grevlex twin, a's own cached basis in a
+    grevlex ring.  A constant c gives a : c = a, and every other part is a
+    reverse-lex colon in the twin (``_colon_route``).  The parts are
     intersected in a canonical order, by their number of generators and then
     each generator's degree and terms, so the fold does not depend on the
     order of b's generators.
@@ -732,15 +749,14 @@ def quotient(a, b):
     ring = a.ring
     twin = _grevlex_twin(ring)
     within = a if twin is ring else Ideal(twin, _moved(a.generators, twin))
+    divisors = _moved(b.generators, twin)
+    homogeneous = all(p.is_homogeneous() for p in within.generators + tuple(divisors))
+    colon = _colon_route(within, homogeneous)
     parts = []
-    for f, g in zip(b.generators, _moved(b.generators, twin)):
-        if is_member(g, within):
-            continue
-        if f._keys == (0,):
-            parts.append(Ideal(ring, a.generators))
-        else:
-            inter = intersect(a, Ideal(ring, (f,)))
-            parts.append(Ideal(ring, [exact_divide(h, f) for h in inter.generators]))
+    for f in divisors:
+        if not is_member(f, within):
+            part = a.generators if f._keys == (0,) else _moved(colon(f), ring)
+            parts.append(Ideal(ring, part))
     if not parts:
         return Ideal(ring, (ring.one(),))
     parts.sort(

@@ -40,7 +40,7 @@ import struct
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from operator import add, mul, sub
+from operator import mul, sub
 
 
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -66,18 +66,6 @@ class DegreeOverflowError(PolyError):
     """A monomial's total degree is DEGREE_LIMIT or more."""
 
 
-def mon_mul(a, b):
-    return tuple(map(add, a, b))
-
-
-def mon_divides(a, b):
-    """True when a divides b componentwise."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 def mon_div(b, a):
     """b / a, assuming a divides b."""
     return tuple(map(sub, b, a))
@@ -85,10 +73,6 @@ def mon_div(b, a):
 
 def mon_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-def mon_gcd(a, b):
-    return tuple(x if x < y else y for x, y in zip(a, b))
 
 
 def _grevlex_rows(lo, hi, n):
@@ -138,17 +122,6 @@ class MonomialOrder:
         """The packed int of m at the widest fields: larger int, larger monomial."""
         _width_for(_max_degree([m]))
         return packer(self, len(m), FIELD_WIDTHS[-1]).enc(m)
-
-    def compare(self, a, b):
-        """-1, 0, 1 for a < b, a == b, a > b. Raises on arity mismatch."""
-        if len(a) != len(b):
-            raise ArityMismatchError(f"monomials of arity {len(a)} and {len(b)}")
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
 
     @property
     def tag(self):

@@ -262,7 +262,15 @@ def check_geometric_link(a, I, J):
 
 
 def check_residual_intersection(A, I, K, s):
-    """K = A:I with codim(K) >= s >= mu(A) and codim(A) = codim(I)."""
+    """K = A:I is an s-residual intersection of I.
+
+    Huneke and Ulrich (J. reine angew. Math. 390, 1988) ask A ⊊ I,
+    mu(A) <= s <= codim(A : I) and s >= codim(I).  This checks A ⊆ I,
+    K = A : I, codim(K) >= s >= mu(A) and codim(A) = codim(I), which is
+    equivalent: Krull gives s >= mu(A) >= codim(A) = codim(I), and
+    conversely V(A) ⊆ V(I) ∪ V(A : I) forces codim(A) = codim(I).  A = I
+    gives a unit colon, whose codim raises: an error, never a pass.
+    """
     contained = all(is_member(g, I) for g in A.generators)
     mu = len(min_generators(A))
     cod_K = codim(K)

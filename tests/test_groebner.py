@@ -36,8 +36,16 @@ from resint import (
 )
 from resint import groebner
 from resint.families import pluecker_gr2
-from resint.groebner import GroebnerBasis, certify_basis, exact_divide, s_polynomial
-from resint.poly import mon_div, mon_divides, mon_gcd, mon_lcm
+from resint.groebner import GroebnerBasis, certify_basis, s_polynomial
+from resint.poly import mon_div, mon_lcm
+
+
+def mon_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mon_gcd(a, b):
+    return tuple(map(min, a, b))
 
 
 def assert_groebner_certificate(gb):
@@ -230,7 +238,6 @@ _MIXED_RING_CALLS = {
     "normal_form": lambda x, u, I, J: normal_form(u, GroebnerBasis(I.ring, [x])),
     "ideals_equal": lambda x, u, I, J: ideals_equal(I, J),
     "intersect": lambda x, u, I, J: intersect(I, J),
-    "exact_divide": lambda x, u, I, J: exact_divide(x, u),
     "quotient": lambda x, u, I, J: quotient(I, J),
     "s_polynomial": lambda x, u, I, J: s_polynomial(x, u),
 }
@@ -442,18 +449,38 @@ def test_quotient_examples(tag):
     assert ideals_equal(
         quotient(Ideal(R, ["x*z", "y*z^2"]), Ideal(R, ["z"])), Ideal(R, ["x", "y*z"])
     )
+    for gens, by, want in (
+        # Dividing the y-ring basis fully by y would give (y), the saturation.
+        (["x^2*y"], ["x"], ["x*y"]),
+        # v_y is the least y-exponent over all of an element's terms.
+        (["x*z", "y*z^2"], ["x + y", "z^2"], ["x*z", "y*z^2"]),
+        # The rewrite needs a power of f.
+        (["x^2", "y^2"], ["x + y"], ["x - y", "y^2"]),
+        # Inhomogeneous input is homogenized, and z = 1 set afterwards.
+        (["x^2 - x"], ["x"], ["x - 1"]),
+        # a : c = a for a nonzero constant c.
+        (["x^2", "y*z - 1"], ["3"], ["x^2", "y*z - 1"]),
+    ):
+        colon = quotient(Ideal(R, gens), Ideal(R, by))
+        assert _in_ring(colon, R)
+        assert ideals_equal(colon, Ideal(R, want))
 
 
 @pytest.mark.parametrize("tag", ["grevlex", "lex", "block:1"])
 def test_intersect_and_quotient_with_t_taken(tag):
-    # t and t_aux0 are the ring's own, so the elimination variable is t_aux1.
+    # t and t_aux0 are the ring's own, so the elimination variable, and the
+    # colon's y, is t_aux1, and the colon's z is t_aux2.
     R = Ring(["t", "x", "y", "t_aux0"], order_from_tag(tag))
     assert groebner._fresh_aux_name(R) == "t_aux1"
+    assert groebner._fresh_aux_name(R, ("t_aux1",)) == "t_aux2"
     A, B = Ideal(R, ["t*x", "x*y"]), Ideal(R, ["t*y", "y^2"])
     K = intersect(A, B)
     assert _in_ring(K, R)
     assert ideals_equal(K, Ideal(R, ["t*x*y", "x*y^2"]))
     assert ideals_equal(quotient(A, B), Ideal(R, ["x"]))
+    inhomogeneous = quotient(Ideal(R, ["t*x^2 - x", "t_aux0^2"]), Ideal(R, ["x"]))
+    assert _in_ring(inhomogeneous, R)
+    assert ideals_equal(inhomogeneous, Ideal(R, ["t*x - 1", "t_aux0^2"]))
 
 
 @pytest.mark.parametrize("tag", ORDER_TAGS)
@@ -470,20 +497,32 @@ def test_quotient_is_the_unit_ideal_exactly_when_the_divisor_lies_in_the_ideal(t
 
 
 def test_quotient_skips_divisor_generators_in_the_ideal(monkeypatch):
-    """x*y lies in (x*y, x*z), so (x*y, x*z) : (x, x*y) takes the one
-    intersection of a with (x) and no fold."""
-    calls = []
-    inner = groebner.intersect
+    """x*y lies in (x*y, x*z), so (x*y, x*z) : (x, x*y) takes the one colon
+    of a by x and no fold."""
+    colons = []
+    intersections = []
+    route, intersect = groebner._colon_route, groebner.intersect
 
-    def counted(a, b):
-        calls.append(b.generators)
-        return inner(a, b)
+    def counted_route(a, homogeneous):
+        colon = route(a, homogeneous)
 
-    monkeypatch.setattr(groebner, "intersect", counted)
+        def counted(f):
+            colons.append((f,))
+            return colon(f)
+
+        return counted
+
+    def counted_intersect(a, b):
+        intersections.append(b.generators)
+        return intersect(a, b)
+
+    monkeypatch.setattr(groebner, "_colon_route", counted_route)
+    monkeypatch.setattr(groebner, "intersect", counted_intersect)
     R = Ring(["x", "y", "z"])
     a = Ideal(R, ["x*y", "x*z"])
     assert [str(g) for g in groebner_basis(quotient(a, Ideal(R, ["x", "x*y"])))] == ["z", "y"]
-    assert calls == [(R.var("x"),)]
+    assert colons == [(R.var("x"),)]
+    assert intersections == []
 
 
 def test_lex_quotient_computes_no_lex_basis(monkeypatch):

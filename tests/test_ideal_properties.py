@@ -5,8 +5,9 @@ lies in a : b.  Containment is tested generator by generator with
 ``is_member``.  The colon also obeys (a : b) : c = a : bc and
 a : (b + c) = (a : b) ∩ (a : c), and a : b is the unit ideal exactly when b
 lies in a.  In lex, grevlex and block rings, with inhomogeneous and
-constant generators, ``quotient`` agrees with the plain per-generator route
-that neither skips a generator nor orders the fold.
+constant generators, and with homogeneous ones, ``quotient`` agrees with
+the plain per-generator route (1/f)(a ∩ (f)) that neither skips a generator
+nor orders the fold.
 """
 
 from fractions import Fraction
@@ -25,7 +26,7 @@ from resint import (
     order_from_tag,
     quotient,
 )
-from resint.groebner import exact_divide
+from resint.poly import mon_div
 
 RING = Ring(["x", "y", "z"])
 ONE = Polynomial(RING, {(0, 0, 0): Fraction(1)})
@@ -99,6 +100,34 @@ def _ideals_in(ring):
     return st.lists(generator, min_size=1, max_size=3).map(lambda gs: Ideal(ring, gs))
 
 
+def _homogeneous_ideals_in(ring):
+    """Ideals of ring whose generators are homogeneous of degree 2 or 3."""
+
+    def generator(degree):
+        monomial = st.lists(st.integers(0, 2), min_size=degree, max_size=degree).map(
+            lambda factors: tuple(factors.count(i) for i in range(3))
+        )
+        return st.dictionaries(
+            monomial, st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=3
+        ).map(lambda d: Polynomial(ring, {m: Fraction(c) for m, c in d.items()}))
+
+    generators = st.lists(st.integers(2, 3).flatmap(generator), min_size=1, max_size=3)
+    return generators.map(lambda gs: Ideal(ring, gs))
+
+
+def _divide(g, f):
+    """g / f by long division on leading terms, for f dividing g exactly; a
+    leading term that f's does not divide raises on its negative exponent."""
+    ring = g.ring
+    lm, lc = f.terms[0]
+    q = ring.zero()
+    while not g.is_zero():
+        m, c = g.terms[0]
+        t = ring.monomial(mon_div(m, lm), c / lc)
+        q, g = q + t, g - t * f
+    return q
+
+
 def _unskipped_quotient(a, b):
     """a : b as (1/f)(a ∩ (f)) for every generator f of b, a : c = a for a
     constant c, intersected in b's generator order."""
@@ -109,14 +138,19 @@ def _unskipped_quotient(a, b):
             part = a
         else:
             inter = intersect(a, Ideal(ring, [f]))
-            part = Ideal(ring, [exact_divide(g, f) for g in inter.generators])
+            part = Ideal(ring, [_divide(g, f) for g in inter.generators])
         result = part if result is None else intersect(result, part)
     return result
 
 
 _ideal_pairs = st.sampled_from(
     [Ring(["x", "y", "z"], order_from_tag(tag)) for tag in ("grevlex", "lex", "block:1")]
-).flatmap(lambda ring: st.tuples(_ideals_in(ring), _ideals_in(ring)))
+).flatmap(
+    lambda ring: st.one_of(
+        st.tuples(_ideals_in(ring), _ideals_in(ring)),
+        st.tuples(_homogeneous_ideals_in(ring), _homogeneous_ideals_in(ring)),
+    )
+)
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,9 +3,9 @@
 A polynomial stores packed keys, integer numerators and one denominator, and
 decodes its terms only when they are read.  Arithmetic works on that form,
 engine results become polynomials without a re-sort, ``intersect`` lifts
-into and strips ``t`` on keys in a grevlex ring, and ``exact_divide``
-divides on packed keys.  Each must give exactly the polynomial a fresh,
-sorting construction gives.
+into and strips ``t`` on keys in a grevlex ring, and ``quotient`` lifts into
+and out of its y-ring on keys.  Each must give exactly the polynomial a
+fresh, sorting construction gives.
 """
 
 from fractions import Fraction
@@ -23,7 +23,6 @@ from resint import (
     Ideal,
     Lex,
     Polynomial,
-    PolyError,
     Ring,
     groebner_basis,
     ideals_equal,
@@ -32,7 +31,6 @@ from resint import (
     order_from_tag,
     quotient,
 )
-from resint.groebner import exact_divide
 from resint.poly import FIELD_WIDTHS, Packer
 
 ORDERS = [Lex(), GrevLex(), BlockElim(1), BlockElim(2)]
@@ -77,28 +75,16 @@ def assert_canonical(p):
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.tag)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_exact_divide_recovers_quotient(order, data):
+def test_principal_colon_is_the_cofactor(order, data):
+    """(f*q) : (f) = (q): the colon by f divides exactly, on the y-ring's
+    keys, in every order and homogeneous or not."""
     ring = _ring(order)
     f = data.draw(_polys(ring, 4, 3))
     q = data.draw(_polys(ring, 4, 3))
-    got = exact_divide(f * q, f)
-    assert got == q
-    assert_canonical(got)
-
-
-@pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.tag)
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_exact_divide_rejects_non_multiples(order, data):
-    ring = _ring(order)
-    f = data.draw(_polys(ring, 4, 3))
-    g = data.draw(_polys(ring, 4, 3))
-    # f divides g exactly iff g reduces to zero modulo (f).
-    if normal_form(g, groebner_basis(Ideal(ring, [f]))).is_zero():
-        assert f * exact_divide(g, f) == g
-    else:
-        with pytest.raises(PolyError, match="not an exact multiple"):
-            exact_divide(g, f)
+    colon = quotient(Ideal(ring, [f * q]), Ideal(ring, [f]))
+    assert ideals_equal(colon, Ideal(ring, [q]))
+    for p in colon.generators:
+        assert_canonical(p)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=repr)
@@ -122,19 +108,6 @@ def test_equal_orders_share_rings_and_packers(order):
         "block:1": "BlockElim(front=1)",
         "block:2": "BlockElim(front=2)",
     }[order.tag]
-
-
-def test_exact_divide_examples():
-    R = Ring(["x", "y"], Lex())
-    x, y = R.var("x"), R.var("y")
-    # Under lex the running remainder of x^2 / (x - y^5) climbs in degree
-    # before the non-multiple shows.
-    with pytest.raises(PolyError, match="not an exact multiple"):
-        exact_divide(x * x + y, x - y**5)
-    assert exact_divide((x - y**5) * (x + Fraction(1, 3)), x - y**5) == x + Fraction(1, 3)
-    assert exact_divide(R.zero(), x).is_zero()
-    with pytest.raises(PolyError):
-        exact_divide(x, R.zero())
 
 
 @pytest.mark.parametrize("order", [GrevLex(), Lex()], ids=lambda o: o.tag)
@@ -172,7 +145,7 @@ def test_engine_outputs_are_canonical(order, data):
 @pytest.mark.parametrize("order", [GrevLex(), Lex()], ids=lambda o: o.tag)
 def test_trusted_constructions_are_sorted(order, monkeypatch):
     """Every polynomial built from a stored form without a sort, by the
-    engine, intersect, exact_divide or arithmetic, is canonical."""
+    engine, intersect, quotient or arithmetic, is canonical."""
     trusted = Polynomial._stored.__func__
     built = []
 
@@ -219,7 +192,6 @@ def test_stored_form_is_canonical(order, data):
     parsed = parse_poly(str(f), ring)
     assert parsed == f
     product = f * g
-    assert exact_divide(product, f) == g
     small = Ideal(ring, [data.draw(_polys(ring, 3, 2)), data.draw(_polys(ring, 2, 2))])
     other = Ideal(ring, [data.draw(_polys(ring, 2, 2))])
     basis = groebner_basis(small)
@@ -231,7 +203,6 @@ def test_stored_form_is_canonical(order, data):
         f.scale(c),
         -f,
         parsed,
-        exact_divide(product, f),
         normal_form(f, basis),
         *basis,
         *intersect(small, other).generators,
