@@ -733,14 +733,19 @@ def quotient(a, b):
     """The colon ideal a : b, the intersection of the parts a : f over the
     generators f of b.
 
-    A generator f that already lies in a has a : f = (1), so it is skipped,
-    and a : b is the unit ideal when every generator is.  Membership is
-    tested against a's basis in the grevlex twin, a's own cached basis in a
-    grevlex ring.  A constant c gives a : c = a, and every other part is a
-    reverse-lex colon in the twin (``_colon_route``).  The parts are
-    intersected in a canonical order, by their number of generators and then
-    each generator's degree and terms, so the fold does not depend on the
-    order of b's generators.
+    R, the colon found so far, starts as the unit ideal and takes b's
+    generators in (degree, terms) order, so the work does not depend on the
+    order of b's generators.  A generator f is skipped when R·f lies in a:
+    then R lies in a : f, so R ∩ (a : f) = R.  The test is f ∈ a first
+    (a : f = (1)), the whole test while R = (1), and then each element of
+    R's reduced basis times f.  Only when it fails is a : f computed, as a
+    reverse-lex colon (``_colon_route``), and R becomes R ∩ (a : f): the
+    fold runs only when a product test fails.  So a : b is the unit ideal,
+    generated by 1, exactly when every generator lies in a.  The
+    memberships, R and the fold stay in the grevlex twin; only the final R
+    moves to a's ring, and a grevlex ring gets R itself, its basis cached.
+    A b with a nonzero constant is (1), so a : b = a: it is returned on a's
+    generators, or as (1) when a is the unit ideal.
     """
     if a.ring != b.ring:
         raise RingMismatchError("ideals from different rings")
@@ -749,26 +754,23 @@ def quotient(a, b):
     ring = a.ring
     twin = _grevlex_twin(ring)
     within = a if twin is ring else Ideal(twin, _moved(a.generators, twin))
-    divisors = _moved(b.generators, twin)
+    if any(f._keys == (0,) for f in b.generators):
+        return Ideal(ring, (ring.one(),) if groebner_basis(within).is_unit else a.generators)
+    divisors = sorted(_moved(b.generators, twin), key=lambda f: (f.total_degree(), f.terms))
     homogeneous = all(p.is_homogeneous() for p in within.generators + tuple(divisors))
     colon = _colon_route(within, homogeneous)
-    parts = []
+    result = None  # R, None while it is (1)
     for f in divisors:
-        if not is_member(f, within):
-            part = a.generators if f._keys == (0,) else _moved(colon(f), ring)
-            parts.append(Ideal(ring, part))
-    if not parts:
+        if is_member(f, within) or (
+            result is not None
+            and all(is_member(g * f, within) for g in groebner_basis(result).elements)
+        ):
+            continue
+        part = Ideal(twin, colon(f))
+        result = part if result is None else intersect(result, part)
+    if result is None:
         return Ideal(ring, (ring.one(),))
-    parts.sort(
-        key=lambda part: (
-            len(part.generators),
-            [(h.total_degree(), h.terms) for h in part.generators],
-        )
-    )
-    result = parts[0]
-    for part in parts[1:]:
-        result = intersect(result, part)
-    return result
+    return result if twin is ring else Ideal(ring, _moved(result.generators, ring))
 
 
 def _minimal_supports(lms):

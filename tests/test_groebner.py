@@ -305,8 +305,8 @@ def _gr26_I_dividing_K3():
 
 
 def _colon_by_three_parts():
-    # No generator of b lies in a, and the intersections of its three parts
-    # take different steps in different orders.
+    # No generator of b lies in a, and the colons by its three generators
+    # take different steps, so the one that comes first sets the work.
     R = Ring(["x", "y", "z"])
     a = Ideal(R, ["x^3", "y*z"])
     return Ideal(R, ["y - z", "z - x", "y*z - x*y"]), lambda b: groebner_basis(
@@ -333,9 +333,9 @@ def _lex_cyclic():
     ids=["gr26-K3-basis", "gr26-K3-cap-p16", "gr26-K3-colon-I", "colon-three-parts", "lex-cyclic4"],
 )
 def test_engine_work_independent_of_input_order(case, steps):
-    """Inputs enter the engine in a canonical order, and ``quotient`` folds
-    its parts in one, so every shuffle of the generators takes the same
-    reduction steps to the same basis."""
+    """Inputs enter the engine in a canonical order, and ``quotient`` takes
+    the divisor's generators in one, so every shuffle of the generators
+    takes the same reduction steps to the same basis."""
     ideal, compute = case()
     rng = random.Random(5)
     counts, results = set(), set()
@@ -496,9 +496,11 @@ def test_quotient_is_the_unit_ideal_exactly_when_the_divisor_lies_in_the_ideal(t
         assert not is_member(R.one(), colon)
 
 
-def test_quotient_skips_divisor_generators_in_the_ideal(monkeypatch):
-    """x*y lies in (x*y, x*z), so (x*y, x*z) : (x, x*y) takes the one colon
-    of a by x and no fold."""
+@pytest.fixture
+def colon_work(monkeypatch):
+    """Two lists, the divisors f of the ``_colon_route`` colons a : f that
+    ``quotient`` computes and the second ideals' generators of its
+    ``intersect`` calls."""
     colons = []
     intersections = []
     route, intersect = groebner._colon_route, groebner.intersect
@@ -518,11 +520,56 @@ def test_quotient_skips_divisor_generators_in_the_ideal(monkeypatch):
 
     monkeypatch.setattr(groebner, "_colon_route", counted_route)
     monkeypatch.setattr(groebner, "intersect", counted_intersect)
+    return colons, intersections
+
+
+def test_quotient_skips_divisor_generators_in_the_ideal(colon_work):
+    """x*y lies in (x*y, x*z), so (x*y, x*z) : (x, x*y) takes the one colon
+    of a by x and no fold."""
+    colons, intersections = colon_work
     R = Ring(["x", "y", "z"])
     a = Ideal(R, ["x*y", "x*z"])
     assert [str(g) for g in groebner_basis(quotient(a, Ideal(R, ["x", "x*y"])))] == ["z", "y"]
     assert colons == [(R.var("x"),)]
     assert intersections == []
+
+
+@pytest.mark.parametrize("tag", ORDER_TAGS)
+@pytest.mark.parametrize(
+    "gens, colons, folds",
+    [
+        # y comes first and a : y = a; a*x lies in a, so x is skipped.
+        (["x^2 - y*z"], 1, 0),
+        # a : y = (x*(x + 2*y)), and x^2*(x + 2*y) is not in a: x is folded.
+        (["x^2*y + 2*x*y^2"], 2, 1),
+    ],
+    ids=["skipped", "folded"],
+)
+def test_quotient_folds_only_when_a_product_test_fails(tag, gens, colons, folds, colon_work):
+    """A generator f of b is skipped when the colon R found so far has R*f
+    in a; otherwise a : f is computed and intersected with R."""
+    R = Ring(["x", "y", "z"], order_from_tag(tag))
+    a = Ideal(R, gens)
+    colon = quotient(a, Ideal(R, ["x", "y"]))
+    assert (len(colon_work[0]), len(colon_work[1])) == (colons, folds)
+    assert _in_ring(colon, R)
+    assert ideals_equal(colon, a)
+
+
+@pytest.mark.parametrize("tag", ORDER_TAGS)
+def test_gr26_colon_takes_one_colon_and_no_fold(tag, colon_work):
+    """(K_5) : (I) = (I_5) on Gr(2,6): the first generator of I not in K_5
+    gives the whole colon, and every later one passes the product test."""
+    model = pluecker_gr2(6)
+    ring = Ring(model.ring.variables, order_from_tag(tag))
+
+    def moved(ideal):
+        return Ideal(ring, [Polynomial(ring, dict(g.terms)) for g in ideal.generators])
+
+    colon = quotient(moved(model.ideal_K(5)), moved(model.ideal_I()))
+    assert (len(colon_work[0]), len(colon_work[1])) == (1, 0)
+    assert _in_ring(colon, ring)
+    assert ideals_equal(colon, moved(model.ideal_I_j(5)))
 
 
 def test_lex_quotient_computes_no_lex_basis(monkeypatch):
