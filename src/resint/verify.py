@@ -5,7 +5,9 @@ of checks.  ``CHECKS`` is the one table of check kinds: it gives each kind's
 argument types and the names of its exact and containment-only checks, and
 both loading and running read it.  Checks run one after another, report
 entries stay in input order, and engine failures are recorded per check
-rather than aborting the run.
+rather than aborting the run.  Each check is a conjunction of facts (X ⊆ Y,
+K·b ⊆ a, a : b == K, codim, mu, ...), and a run computes each distinct fact
+once, however many checks name it.
 """
 
 import json
@@ -180,18 +182,32 @@ def load_scenario(data, name="scenario"):
             raise ScenarioError(f"{where}: unknown mode {spec['mode']!r}")
         if containment_only and containment is None:
             raise ScenarioError(f"{where}: containment-only applies to colon checks")
+        # Passing containment proves no equality, and failed containment
+        # disproves it: neither verdict fits a check expected to fail.
+        if containment_only and not expect:
+            raise ScenarioError(f"{where}: containment-only needs expect true")
         checks.append(Check(cname, kind, tuple(args), expect, containment_only))
     return Scenario(name, ring, polys, ideals, tuple(checks))
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load_scenario_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             # The decoder recurses once per nested array or object.
             raise ScenarioError(f"{path}: JSON nested too deeply to read") from None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, ScenarioError) as exc:
             raise ScenarioError(f"{path}: {exc}") from None
     return load_scenario(data, name=str(path))
 
@@ -204,38 +220,110 @@ def bundled_scenario_path(name):
     return path if path.is_file() else None
 
 
-# -- individual checks ---------------------------------------------------------
+# -- facts ---------------------------------------------------------------------
+#
+# A check is a conjunction of facts about its argument ideals.  A run keeps
+# one table of facts, keyed by the fact and its argument ideals; an Ideal
+# hashes by identity and each scenario name is one Ideal, so the key is in
+# effect the names.  The values are bools and ints: the basis cache on each
+# Ideal stays the one cache of engine work.  Facts call the operations
+# through the names imported above, so a wrapper bound over those names sees
+# every call.
 
 
-def check_colon_equals(A, I, K):
-    """quotient(A, I) == K."""
-    equal = ideals_equal(quotient(A, I), K)
+def _fact(facts, compute, *args):
+    """compute(*args), computed at most once per table.
+
+    A PolyError is stored as the value, without the frames that raised it,
+    and raised again to every check that reads it, so they all report the
+    same message.
+    """
+    key = (compute, *args)
+    if key not in facts:
+        try:
+            facts[key] = compute(*args)
+        except PolyError as exc:
+            facts[key] = exc.with_traceback(None)
+    value = facts[key]
+    if isinstance(value, PolyError):
+        raise value
+    return value
+
+
+def _contained(X, Y):
+    """X ⊆ Y.  A generator of X that is a generator of Y needs no test."""
+    known = set(Y.generators)
+    return all(is_member(g, Y) for g in X.generators if g not in known)
+
+
+def _products_contained(K, b, a):
+    """K·b ⊆ a.  A product with a factor among a's generators lies in a and
+    needs no test."""
+    known = set(a.generators)
+    return all(
+        is_member(k * g, a)
+        for k in K.generators
+        if k not in known
+        for g in b.generators
+        if g not in known
+    )
+
+
+def _colon_equals(a, b, K):
+    """a : b == K."""
+    return ideals_equal(quotient(a, b), K)
+
+
+def _mu(X):
+    """The size of a minimal generating set of X."""
+    return len(min_generators(X))
+
+
+def _intersection_equals(a, I, J):
+    """a == I ∩ J."""
+    return ideals_equal(a, intersect(I, J))
+
+
+def _sum_codim(I, J):
+    """ht(I + J)."""
+    return codim(Ideal(I.ring, I.generators + J.generators))
+
+
+# -- checks --------------------------------------------------------------------
+#
+# Each check reads its facts from `facts`, the run's table, in a fixed order;
+# the first fact that raises makes the check an error.  A direct call gets a
+# fresh table.
+
+
+def check_colon_equals(A, I, K, facts=None):
+    """A : I == K."""
+    equal = _fact({} if facts is None else facts, _colon_equals, A, I, K)
     return equal, {"equal": equal}
 
 
-def check_colon_containment(A, I, K):
-    """One-sided evidence for quotient(A, I) == K without computing it.
+def check_colon_containment(A, I, K, facts=None):
+    """One-sided evidence for A : I == K without computing the colon.
 
-    K * I subset A gives K subset A:I generator-wise; the generators of A are
-    sample members of A:I and are checked against K.
+    K·I ⊆ A gives K ⊆ A : I generator-wise; the generators of A are sample
+    members of A : I and are checked against K.  Passing evidence proves no
+    equality, so a scenario may expect it to hold but not to fail.
     """
-    product_in_A = all(
-        is_member(r * g, A) for r in K.generators for g in I.generators
-    )
-    samples_in_K = all(is_member(g, K) for g in A.generators)
+    facts = {} if facts is None else facts
+    product_in_A = _fact(facts, _products_contained, K, I, A)
+    samples_in_K = _fact(facts, _contained, A, K)
     ok = product_in_A and samples_in_K
     return ok, {"product_in_A": product_in_A, "samples_in_K": samples_in_K}
 
 
-def check_link(a, I, J):
+def check_link(a, I, J, facts=None):
     """a is a regular sequence linking I and J: (a):I = J and (a):J = I."""
+    facts = {} if facts is None else facts
     seq_len = len(a.generators)
-    in_both = all(
-        is_member(g, I) and is_member(g, J) for g in a.generators
-    )
-    cod = codim(a)
-    colon_i = ideals_equal(quotient(a, I), J)
-    colon_j = ideals_equal(quotient(a, J), I)
+    in_both = _fact(facts, _contained, a, I) and _fact(facts, _contained, a, J)
+    cod = _fact(facts, codim, a)
+    colon_i = _fact(facts, _colon_equals, a, I, J)
+    colon_j = _fact(facts, _colon_equals, a, J, I)
     ok = in_both and cod == seq_len and colon_i and colon_j
     return ok, {
         "sequence_in_intersection": in_both,
@@ -246,13 +334,12 @@ def check_link(a, I, J):
     }
 
 
-def check_geometric_link(a, I, J):
+def check_geometric_link(a, I, J, facts=None):
     """ht(I+J) >= g+1 and (a) = I ∩ J."""
-    ring = a.ring
-    g = codim(I)
-    total = Ideal(ring, I.generators + J.generators)
-    cod_sum = codim(total)
-    inter_eq = ideals_equal(a, intersect(I, J))
+    facts = {} if facts is None else facts
+    g = _fact(facts, codim, I)
+    cod_sum = _fact(facts, _sum_codim, I, J)
+    inter_eq = _fact(facts, _intersection_equals, a, I, J)
     ok = cod_sum >= g + 1 and inter_eq
     return ok, {
         "codim_I": g,
@@ -261,7 +348,7 @@ def check_geometric_link(a, I, J):
     }
 
 
-def check_residual_intersection(A, I, K, s):
+def check_residual_intersection(A, I, K, s, facts=None):
     """K = A:I is an s-residual intersection of I.
 
     Huneke and Ulrich (J. reine angew. Math. 390, 1988) ask A ⊊ I,
@@ -271,12 +358,13 @@ def check_residual_intersection(A, I, K, s):
     conversely V(A) ⊆ V(I) ∪ V(A : I) forces codim(A) = codim(I).  A = I
     gives a unit colon, whose codim raises: an error, never a pass.
     """
-    contained = all(is_member(g, I) for g in A.generators)
-    mu = len(min_generators(A))
-    cod_K = codim(K)
-    cod_A = codim(A)
-    cod_I = codim(I)
-    quotient_eq = ideals_equal(quotient(A, I), K)
+    facts = {} if facts is None else facts
+    contained = _fact(facts, _contained, A, I)
+    mu = _fact(facts, _mu, A)
+    cod_K = _fact(facts, codim, K)
+    cod_A = _fact(facts, codim, A)
+    cod_I = _fact(facts, codim, I)
+    quotient_eq = _fact(facts, _colon_equals, A, I, K)
     ok = contained and quotient_eq and cod_K >= s >= mu and cod_A == cod_I
     return ok, {
         "A_in_I": contained,
@@ -289,41 +377,42 @@ def check_residual_intersection(A, I, K, s):
     }
 
 
-def check_residual_containment(A, I, K, s):
-    contained = all(is_member(g, I) for g in A.generators)
-    mu = len(min_generators(A))
-    cod_K = codim(K)
-    ok_colon, values = check_colon_containment(A, I, K)
+def check_residual_containment(A, I, K, s, facts=None):
+    facts = {} if facts is None else facts
+    contained = _fact(facts, _contained, A, I)
+    mu = _fact(facts, _mu, A)
+    cod_K = _fact(facts, codim, K)
+    ok_colon, values = check_colon_containment(A, I, K, facts=facts)
     ok = contained and ok_colon and cod_K >= s >= mu
     values.update({"A_in_I": contained, "codim_K": cod_K, "s": s, "mu_A": mu})
     return ok, values
 
 
-def check_codim_equals(I, c):
+def check_codim_equals(I, c, facts=None):
     """codim(I) == c."""
-    computed = codim(I)
+    computed = _fact({} if facts is None else facts, codim, I)
     return computed == c, {"computed": computed}
 
 
-def check_mu_equals(I, m):
+def check_mu_equals(I, m, facts=None):
     """mu(I) == m: a minimal generating set of I has m elements."""
-    computed = len(min_generators(I))
+    computed = _fact({} if facts is None else facts, _mu, I)
     return computed == m, {"computed": computed}
 
 
-def check_ideal_equals(I, J):
+def check_ideal_equals(I, J, facts=None):
     """I == J."""
-    equal = ideals_equal(I, J)
+    equal = _fact({} if facts is None else facts, ideals_equal, I, J)
     return equal, {"equal": equal}
 
 
-def _run_check(scenario, check):
+def _run_check(scenario, check, facts):
     types, exact, containment = CHECKS[check.kind]
     run = globals()[containment if check.containment_only else exact]
     args = [scenario.ideals[a] if t == "ideal" else a for t, a in zip(types, check.args)]
     t0 = time.monotonic()
     try:
-        outcome, values = run(*args)
+        outcome, values = run(*args, facts=facts)
     except PolyError as exc:
         millis = int((time.monotonic() - t0) * 1000)
         return CheckResult(check.name, check.kind, "error", {"error": str(exc)}, millis)
@@ -336,5 +425,7 @@ def _run_check(scenario, check):
 
 
 def run_scenario(scenario):
-    """Execute all checks; report entries preserve input order."""
-    return Report(scenario.name, [_run_check(scenario, c) for c in scenario.checks])
+    """Execute all checks with one table of facts; report entries preserve
+    input order, and a check's millis counts only the facts it computed first."""
+    facts = {}
+    return Report(scenario.name, [_run_check(scenario, c, facts) for c in scenario.checks])

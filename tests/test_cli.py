@@ -81,8 +81,21 @@ def test_verify_missing_file_exits_two(capsys):
         (b"\xff", "can't decode byte 0xff in position 0"),
         (b"{not json", "Expecting property name enclosed in double quotes"),
         (b"[" * 100000, "JSON nested too deeply to read"),
+        # json.load would keep the last I, (y), and verify I == J.
+        (
+            b'{"format": 1, "ring": {"vars": ["x", "y"]},'
+            b' "ideals": {"I": ["x"], "I": ["y"], "J": ["y"]},'
+            b' "checks": [{"kind": "ideal_equals", "args": ["I", "J"]}]}',
+            "duplicate key 'I'",
+        ),
+        (b'{"format": 1, "format": 1}', "duplicate key 'format'"),
+        (
+            b'{"format": 1, "ring": {"vars": ["x"]}, "ideals": {"I": ["x"]},'
+            b' "checks": [{"kind": "codim_equals", "args": ["I", 1], "args": ["I", 0]}]}',
+            "duplicate key 'args'",
+        ),
     ],
-    ids=["not-utf-8", "not-json", "nested-json"],
+    ids=["not-utf-8", "not-json", "nested-json", "duplicate-ideal", "duplicate-top", "duplicate-in-check"],
 )
 def test_verify_unreadable_scenario_exits_two(tmp_path, capsys, content, message):
     path = tmp_path / "s.json"

@@ -1,14 +1,18 @@
 """Scenario loading, check semantics, and report shape."""
 
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resint import Ideal, Ring, verify
+from resint import Ideal, Polynomial, Ring, is_member, verify
 from resint.verify import (
     CHECKS,
     ScenarioError,
+    check_colon_containment,
     check_colon_equals,
     check_geometric_link,
     check_link,
@@ -252,6 +256,16 @@ def test_report_json_shape():
         ({"kind": "colon_equals", "args": "aXY"}, "list"),
         ({"kind": "colon_equals", "args": [["a"], "X", "Y"]}, "undefined ideal"),
         ({"kind": "link", "args": ["a", "X", "Y"], "mode": "containment-only"}, "containment-only"),
+        (
+            {"kind": "colon_equals", "args": ["a", "X", "Y"], "mode": "containment-only",
+             "expect": False},
+            "containment-only needs expect true",
+        ),
+        (
+            {"kind": "residual_intersection", "args": ["a", "X", "Y", 1],
+             "mode": "containment-only", "expect": False},
+            "containment-only needs expect true",
+        ),
     ],
     ids=[
         "expect-string",
@@ -265,6 +279,8 @@ def test_report_json_shape():
         "args-string",
         "args-unhashable",
         "link-containment",
+        "containment-expect-false",
+        "residual-containment-expect-false",
     ],
 )
 def test_strict_check_schema_names_the_check(check, message):
@@ -363,3 +379,101 @@ def test_every_check_kind_and_mode_runs_through_a_scenario(kind, check_name, mod
     ok, values = getattr(verify, check_name)(*direct_args)
     assert ok
     assert result.values == values
+
+
+# -- one table of facts per run --------------------------------------------
+
+
+def _bundled(name, exact=False):
+    sc = load_scenario_file(resources.files("resint.data") / f"{name}.scenario.json")
+    if exact:
+        sc = sc._replace(checks=tuple(c._replace(containment_only=False) for c in sc.checks))
+    return sc
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls verify makes through each imported operation name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(verify, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def test_e6_computes_each_distinct_fact_once(monkeypatch):
+    # link repeats two colons of the colon checks, the residual intersection
+    # the third; the codim and mu checks repeat what the others computed.
+    sc = _bundled("e6")
+    calls = _count_calls(monkeypatch, "quotient", "codim", "min_generators")
+    report = run_scenario(sc)
+    assert report.all_passed
+    assert calls == {"quotient": 3, "codim": 6, "min_generators": 2}
+
+
+def test_e7_containment_tests_only_what_generators_do_not_settle(monkeypatch):
+    # 118 of the 126 products have a factor among the base ideal's
+    # generators, and all 11 samples are generators of the claimed colon.
+    sc = _bundled("e7")
+    calls = _count_calls(monkeypatch, "is_member")
+    report = run_scenario(sc)
+    assert report.summary["partial"] == 2
+    assert calls == {"is_member": 8}
+
+
+def test_a_failing_fact_is_an_error_in_every_check_that_reads_it(monkeypatch):
+    # codim of the unit ideal raises; the residual intersection reads the
+    # same fact after A ⊆ I and mu(A).
+    sc = load_scenario(
+        dict(
+            SCENARIO,
+            ideals={"X": ["x"], "unit": ["1"]},
+            checks=[
+                {"kind": "codim_equals", "args": ["unit", 0]},
+                {"kind": "residual_intersection", "args": ["X", "X", "unit", 1]},
+            ],
+        )
+    )
+    calls = _count_calls(monkeypatch, "codim")
+    first, residual = run_scenario(sc).checks
+    assert first.verdict == residual.verdict == "error"
+    assert first.values == residual.values
+    assert calls == {"codim": 1}
+
+
+def test_a_direct_check_call_gets_a_fresh_table(monkeypatch):
+    R = _ring_xy()
+    a, I, J = Ideal(R, ["x*y"]), Ideal(R, ["x"]), Ideal(R, ["y"])
+    calls = _count_calls(monkeypatch, "quotient")
+    assert check_link(a, I, J)[0] and check_link(a, I, J)[0]
+    assert calls == {"quotient": 4}
+    facts = {}
+    check_colon_equals(a, I, J, facts=facts)
+    check_link(a, I, J, facts=facts)
+    assert calls == {"quotient": 6}
+
+
+_RING = Ring(["x", "y", "z"])
+_pool = st.lists(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3), st.sampled_from([-1, 1, 2]), min_size=1, max_size=2
+    ).map(lambda d: Polynomial(_RING, {m: Fraction(c) for m, c in d.items()})),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_colon_containment_values_match_testing_every_product(data):
+    # The three ideals draw from one small pool, so they share generators.
+    pool = data.draw(_pool)
+    A, I, K = (
+        Ideal(_RING, data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+        for _ in range(3)
+    )
+    product_in_A = all(is_member(k * g, A) for k in K.generators for g in I.generators)
+    samples_in_K = all(is_member(g, K) for g in A.generators)
+    expected = {"product_in_A": product_in_A, "samples_in_K": samples_in_K}
+    assert check_colon_containment(A, I, K) == (product_in_A and samples_in_K, expected)
