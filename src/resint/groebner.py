@@ -6,7 +6,9 @@ rational results are recovered by tracking the accumulated scale.  The
 ring's monomial order is the only order: a reduced basis is unique per
 ideal, and the ideal caches it in one slot, in memory; nothing is read from
 or written to disk.  A basis in another order is the basis of the same
-generators in a ring of that order.
+generators in a ring of that order.  Membership in an ideal of homogeneous
+generators advances its basis computation only through the degree tested,
+and the paused computation waits in a second slot until it is resumed.
 
 Inside the engine a monomial is the packed int of ``resint.poly``:
 comparing ints compares monomials, the reduction heap holds negated ints,
@@ -36,7 +38,7 @@ grevlex twin too, by the reverse-lex property, moving keys by shifts.
 
 import contextvars
 import heapq
-from math import gcd
+from math import gcd, inf
 
 from .parser import parse_poly
 from .poly import (
@@ -75,10 +77,11 @@ class NonHomogeneousError(GroebnerError):
 
 
 # Limits guarding runaway computations.  Exceeding one raises, never returns
-# a wrong answer.  The reduction-step budget is read when a basis computation
-# or a normal form starts; a value set on it holds in the current context
-# only, so ``contextvars.copy_context().run`` scopes it to one call.  The
-# values are calibrated so the bundled E6 and E7 scenarios complete.
+# a wrong answer.  The reduction-step budget is read when a normal form or an
+# advance of a basis computation starts (a complete basis computed at once is
+# one advance); a value set on it holds in the current context only, so
+# ``contextvars.copy_context().run`` scopes it to one call.  The values are
+# calibrated so the bundled E6 and E7 scenarios complete.
 max_reductions = contextvars.ContextVar("max_reductions", default=50_000_000)
 MAX_PAIRS = 1_000_000
 
@@ -88,6 +91,9 @@ class _State:
 
     def __init__(self, arity):
         self.arity = arity
+        self.refill()
+
+    def refill(self):
         self.budget = self.steps_left = max_reductions.get()
 
     def step(self):
@@ -299,8 +305,25 @@ def _monomial_content(items, pk):
 
 
 def _buchberger(inputs, pk, state):
-    """Return a minimal, not yet tail-reduced Groebner basis of the input
-    _EPolys, in insertion order.
+    """A basis computation of the input _EPolys that pauses at a degree: a
+    generator, started by ``next``.  Each degree d sent to it inserts the
+    inputs (the first time) and pops pairs while the lowest queued sugar is
+    at most d, then yields G, every element inserted so far.  Once the queue
+    is empty it returns a minimal, not yet tail-reduced Groebner basis, in
+    insertion order.  Pausing changes nothing that is done, only when, so a
+    run sent d1 < d2 < ... and then ``inf`` does exactly the work of one run
+    sent ``inf``.
+
+    For homogeneous inputs sugar is degree, so pairs leave the heap in degree
+    order, and each criterion below drops a pair only on the strength of
+    pairs of no larger degree, or of its own two elements.  So once no pair
+    of sugar d or less is queued, every homogeneous element of degree d or
+    less of the ideal reduces to zero against G, in any monomial order: G
+    is a d-truncated basis (Becker-Weispfenning, Gröbner Bases, 1993,
+    §10.2).  Reducing by homogeneous elements never mixes degrees, so a
+    polynomial of degree at most d lies in the ideal exactly when it
+    reduces to zero against G.  For inhomogeneous inputs a paused G decides
+    nothing.
 
     Inputs enter ascending by (sugar, terms), the order Giovini et al. ask
     for, so the basis, the pair queue and every work counter depend on the
@@ -409,11 +432,15 @@ def _buchberger(inputs, pk, state):
         state.check_pairs(len(P))
         G.append(h)
 
+    stop = yield
     for p in sorted(inputs, key=lambda p: (p.sugar, p.terms)):
         r, _ = _nf(dict(p.terms), G, pk, state)
         if r:
             update(_EPoly(_primitive(r), degree, p.sugar))
     while P:
+        if P[0][0] > stop:
+            stop = yield G
+            continue
         # (sugar, packed lcm, seq) is unique, so the heap never compares _EPolys.
         sugar, lcm, _, f, g = heapq.heappop(P)
         r, _ = _nf(_spoly_terms(f, g, lcm, pk), G, pk, state)
@@ -495,10 +522,12 @@ class GroebnerBasis:
 
 
 class Ideal:
-    """An ideal presented by generators, with its reduced basis cached once
-    computed."""
+    """An ideal presented by generators, with its reduced basis cached in
+    ``_gb`` once computed.  ``_run`` holds a basis computation that
+    ``is_member`` advanced only part way, as (packer, state, generator),
+    until it completes."""
 
-    __slots__ = ("ring", "generators", "_gb")
+    __slots__ = ("ring", "generators", "_gb", "_run")
 
     def __init__(self, ring, generators):
         gens = []
@@ -511,7 +540,7 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._gb = None
+        self._gb = self._run = None
 
     def __repr__(self):
         return f"<Ideal with {len(self.generators)} generators in {self.ring!r}>"
@@ -520,23 +549,43 @@ class Ideal:
 # -- public operations ----------------------------------------------------
 
 
-def _reduced_basis(ideal, width):
-    """The reduced basis elements of `ideal`, computed at `width` bits."""
+def _advance(ideal, degree, width):
+    """Advance the basis computation of `ideal` through `degree` (``inf``:
+    to its end).  A new run packs at `width` bits, a resumed one at its own:
+    an 8-bit run queues no pair of degree 128 or more, so advancing it to
+    the degree of a 16-bit polynomial widens it or completes it.  Returns
+    (packer, G) while pairs remain queued.  Once the queue is empty it
+    caches the reduced basis in ``_gb``, drops the run and returns None.  A
+    run that raises is dropped too, so the next call starts afresh."""
     ring = ideal.ring
-    state = _State(ring.arity)
-    pk = ring.packer(width)
-    inputs = [_epoly(g, pk) for g in ideal.generators]
-    reduced = _reduce_basis(_buchberger(inputs, pk, state), pk, state)
-    return [_int_terms_to_poly(e.terms, ring, pk, denom=e.lc) for e in reduced]
+    run = ideal._run
+    if run is None:
+        pk = ring.packer(width)
+        state = _State(ring.arity)
+        steps = _buchberger([_epoly(g, pk) for g in ideal.generators], pk, state)
+        next(steps)
+        run = (pk, state, steps)
+    pk, state, steps = run
+    state.refill()
+    ideal._run = None
+    try:
+        G = steps.send(degree)
+    except StopIteration as done:
+        reduced = _reduce_basis(done.value, pk, state)
+        elements = [_int_terms_to_poly(e.terms, ring, pk, denom=e.lc) for e in reduced]
+        ideal._gb = GroebnerBasis(ring, elements)
+        return None
+    ideal._run = run
+    return pk, G
 
 
 def groebner_basis(ideal):
-    """The reduced basis of `ideal` in its ring's order, computed once."""
-    gb = ideal._gb
-    if gb is None:
-        elements = _widening(_reduced_basis, ideal.generators, ideal)
-        gb = ideal._gb = GroebnerBasis(ideal.ring, elements)
-    return gb
+    """The reduced basis of `ideal` in its ring's order, computed once.  A
+    computation that ``is_member`` left paused in the ideal's ``_run`` is
+    finished, not redone."""
+    if ideal._gb is None:
+        _widening(_advance, ideal.generators, ideal, inf)
+    return ideal._gb
 
 
 def _remainder(f, basis, width):
@@ -556,15 +605,34 @@ def normal_form(f, basis):
     return _widening(_remainder, (*basis.elements, f), f, basis)
 
 
+def _member(f, ideal, width):
+    run = _advance(ideal, f.total_degree(), width)
+    if run is None:
+        return normal_form(f, ideal._gb).is_zero()
+    pk, G = run
+    return not _nf(dict(_int_terms(f, pk)[1]), G, pk, _State(ideal.ring.arity))[0]
+
+
 def is_member(f, ideal):
+    """Whether f lies in `ideal`.
+
+    While the basis of an ideal with homogeneous generators is not complete,
+    its computation is advanced only through deg f, the largest degree of
+    f's terms, and f is reduced against the elements found so far.  That is
+    exact because pairs leave in degree order when sugar is degree
+    (``_buchberger``).  With an inhomogeneous generator sugar is not
+    degree and a paused run decides nothing, so such an ideal reduces f
+    against its complete basis.  The partial run stays in the ideal's
+    ``_run``, and a later call or ``groebner_basis`` resumes it.
+    """
     if f.ring != ideal.ring:
         raise RingMismatchError("polynomial and ideal from different rings")
-    gb = groebner_basis(ideal)
     if f.is_zero():
         return True
-    if not gb.elements:
-        return False
-    return normal_form(f, gb).is_zero()
+    if ideal._gb is None and (ideal._run or all(g.is_homogeneous() for g in ideal.generators)):
+        return _widening(_member, (*ideal.generators, f), f, ideal)
+    gb = groebner_basis(ideal)
+    return bool(gb.elements) and normal_form(f, gb).is_zero()
 
 
 def ideals_equal(a, b):
@@ -595,7 +663,8 @@ def _moved(polys, ring):
 
 
 def intersect(a, b):
-    """Generators of a ∩ b via the t / (1-t) elimination trick."""
+    """Generators of a ∩ b via the t / (1-t) elimination trick; in a
+    grevlex ring they are its reduced basis, cached in ``_gb``."""
     if a.ring != b.ring:
         raise RingMismatchError("ideals from different rings")
     ring = a.ring
@@ -642,7 +711,12 @@ def intersect(a, b):
         rows = low + width
         keys = [((k >> rows) << low) + (k & mask) for k in p._keys]
         out.append(Polynomial._stored(twin, keys, p._nums, p._den, twin.packer(width)))
-    return Ideal(ring, _moved(out, ring))
+    result = Ideal(ring, _moved(out, ring))
+    if twin is ring:
+        # Stripped of t, the t-free part of a reduced BlockElim(1) basis is
+        # the reduced grevlex basis of a ∩ b: monic, ascending and reduced.
+        result._gb = GroebnerBasis(ring, out)
+    return result
 
 
 def _colon_route(a, homogeneous):
@@ -861,8 +935,11 @@ def min_generators(ideal):
         ideal.generators, key=lambda g: (g.total_degree(), key(g.leading_monomial()))
     )
     kept = []
+    # One ideal per kept set, so each skipped generator resumes its run.
+    span = None
     for g in gens:
-        if kept and is_member(g, Ideal(ring, kept)):
+        if kept and is_member(g, span):
             continue
         kept.append(g)
+        span = Ideal(ring, kept)
     return kept

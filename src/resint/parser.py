@@ -19,7 +19,7 @@ ParseError at its position, not a RecursionError.
 
 from fractions import Fraction
 
-from .poly import NAME, Polynomial, PolyError, UnknownVariableError
+from .poly import NAME, Polynomial, PolyError, UnknownVariableError, _width_for
 
 
 class ParseError(PolyError):
@@ -107,53 +107,95 @@ class _Parser:
         return p
 
     def expr(self):
+        """A sum.  Its monomial terms are summed in one dict and built into
+        one Polynomial, so a flat sum takes linear time; only a term with a
+        parenthesised factor is added as a Polynomial."""
         sign = 1
         if self.peek()[0] in ("+", "-"):
             if self.advance()[0] == "-":
                 sign = -1
-        p = self.term()
-        if sign < 0:
-            p = -p
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            q = self.term()
-            p = p + q if op == "+" else p - q
-        return p
+        monomials = {}
+        rest = None
+        while True:
+            t = self.term()
+            if isinstance(t, Polynomial):
+                t = t if sign > 0 else -t
+                rest = t if rest is None else rest + t
+            else:
+                m, c = t
+                monomials[m] = monomials.get(m, 0) + sign * c
+            if self.peek()[0] not in ("+", "-"):
+                break
+            sign = 1 if self.advance()[0] == "+" else -1
+        p = Polynomial(self.ring, monomials)
+        return p if rest is None else p + rest
 
     def term(self):
-        p = self.factor()
-        while self.peek()[0] == "*":
+        """A product: (exponent tuple, coefficient) while its factors are
+        numbers and variable powers, and a Polynomial from its first
+        parenthesised factor on.  A degree is refused where the product of
+        Polynomials would refuse it: not once the coefficient is zero."""
+        exps = [0] * self.ring.arity
+        coeff, degree = 1, 0
+        while True:
+            f = self.factor()
+            if isinstance(f, tuple):
+                i, e = f
+                exps[i] += e
+                if coeff:
+                    degree += e
+                    _width_for(degree)
+            elif isinstance(f, Polynomial):
+                p = self.ring.monomial(exps, coeff) * f
+                while self.peek()[0] == "*":
+                    self.advance()
+                    p = p * self._polynomial(self.factor())
+                return p
+            else:
+                coeff *= f
+            if self.peek()[0] != "*":
+                return tuple(exps), coeff
             self.advance()
-            p = p * self.factor()
-        return p
+
+    def _polynomial(self, f):
+        """A factor as a Polynomial."""
+        if isinstance(f, tuple):
+            exps = [0] * self.ring.arity
+            exps[f[0]] = f[1]
+            return self.ring.monomial(exps)
+        return f if isinstance(f, Polynomial) else self.ring.constant(f)
 
     def factor(self):
+        """A number, a variable power as (variable index, exponent), or a
+        parenthesised sum as a Polynomial."""
         tok = self.advance()
         kind, text, at = tok
         if kind == "int":
-            value = Fraction(_int(tok))
+            value = _int(tok)
             if self.peek()[0] == "/":
                 self.advance()
                 tok = self.expect("int")
                 den = _int(tok)
                 if den == 0:
                     raise ParseError("zero denominator", tok[2])
-                value = value / den
-            return self.ring.constant(value)
+                value = Fraction(value, den)
+            return value
         if kind == "name":
             try:
-                p = self.ring.var(text)
+                i = self.ring.index(text)
             except UnknownVariableError:
                 raise UnknownVariableError(
                     f"unknown variable {text!r} (at position {at})"
                 ) from None
+            e = 1
             if self.peek()[0] == "^":
                 self.advance()
                 nxt = self.peek()
                 if nxt[0] == "-":
                     raise NegativeExponentError("negative exponent", nxt[2])
-                p = p ** _int(self.expect("int"))
-            return p
+                e = _int(self.expect("int"))
+                _width_for(e)
+            return i, e
         if kind == "(":
             if self.depth == NESTING_LIMIT:
                 raise ParseError(f"parentheses nested deeper than {NESTING_LIMIT}", at)

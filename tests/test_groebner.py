@@ -690,6 +690,107 @@ def test_codim_stable_across_orders():
     )
 
 
+# -- membership by a partial run ----------------------------------------------------
+
+# Two homogeneous binomials whose reduced grevlex basis has an element every
+# third degree from 40 to 136, so their run is partial below degree 136.  At
+# 8 bits the advance to degree 127 forms a pair of degree 128.
+_STAIRS = ["x^18*y^13*z^9 - x^12*y^12*z^16", "x^24*y^27*z^19 - x^21*y^24*z^25"]
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The number of inputs of each basis run started."""
+    sizes = []
+    buchberger = groebner._buchberger
+
+    def recorded(inputs, pk, state):
+        sizes.append(len(inputs))
+        return buchberger(inputs, pk, state)
+
+    monkeypatch.setattr(groebner, "_buchberger", recorded)
+    return sizes
+
+
+def _stairs():
+    """The ideal, fresh, and its complete basis, from another ideal."""
+    R = Ring(["x", "y", "z"])
+    return Ideal(R, _STAIRS), groebner_basis(Ideal(R, _STAIRS))
+
+
+def _basis_element(gb, degree):
+    return next(g for g in gb if g.total_degree() == degree)
+
+
+def test_an_advance_that_reaches_the_8_bit_limit_restarts_at_16_bits(runs):
+    I, gb = _stairs()
+    z = I.ring.var("z")
+    del runs[:]
+    for f in (_basis_element(gb, 100), z**100, _basis_element(gb, 127), z**127):
+        assert is_member(f, I) == normal_form(f, gb).is_zero()
+        assert I._gb is None
+    assert (I._run[0].width, len(runs)) == (16, 2)
+    assert groebner_basis(I).elements == gb.elements
+    assert I._run is None
+
+
+def test_a_polynomial_wider_than_the_run_restarts_it(runs):
+    I, gb = _stairs()
+    f = _basis_element(gb, 100)
+    del runs[:]
+    assert is_member(f, I)
+    assert (I._run[0].width, len(runs)) == (8, 1)
+    assert is_member(f * I.ring.var("x") ** 30, I)
+    assert (I._run[0].width, len(runs)) == (16, 2)
+
+
+def test_a_budget_error_in_an_advance_drops_the_run():
+    I, gb = _stairs()
+    f = _basis_element(gb, 100)
+    assert is_member(_basis_element(gb, 73), I)
+    assert I._run is not None
+
+    def capped():
+        max_reductions.set(1)
+        return is_member(f, I)
+
+    with pytest.raises(BudgetExceededError, match="budget of 1 exceeded"):
+        contextvars.copy_context().run(capped)
+    assert I._run is None
+    assert is_member(f, I)
+    assert groebner_basis(I).elements == gb.elements
+
+
+def test_an_inhomogeneous_ideal_keeps_no_partial_run():
+    R = Ring(["x", "y"])
+    I = Ideal(R, ["x^2 - y", "x*y - 1"])
+    assert is_member(parse_poly("x^3 - x*y", R), I)
+    assert I._run is None and I._gb is not None
+
+
+def test_e7_containment_pops_no_pair_of_degree_5(monkeypatch):
+    """e7's products have degree 3 or 4, so the runs of J and I stop there;
+    finishing their bases pops the pairs of degree 5 and more."""
+    from resint import verify
+
+    degrees = []
+    spoly = groebner._spoly_terms
+
+    def recorded(f, g, lcm, pk):
+        degrees.append(lcm & pk.degree)
+        return spoly(f, g, lcm, pk)
+
+    monkeypatch.setattr(groebner, "_spoly_terms", recorded)
+    sc = verify.load_scenario_file(verify.bundled_scenario_path("e7"))
+    assert verify.run_scenario(sc).summary["partial"] == 2
+    assert max(degrees) == 4
+    for name in ("J", "I"):
+        assert sc.ideals[name]._run is not None
+        del degrees[:]
+        groebner_basis(sc.ideals[name])
+        assert min(degrees) == 5
+
+
 # -- minimal generators -----------------------------------------------------------
 
 
@@ -703,6 +804,14 @@ def test_min_generators_rejects_nonhomogeneous():
     R = Ring(["x", "y"])
     with pytest.raises(NonHomogeneousError):
         min_generators(Ideal(R, ["x^2 + y"]))
+
+
+def test_min_generators_computes_each_kept_set_once(runs):
+    """A skipped generator leaves the kept set, and so its run, as it was."""
+    R = Ring(["x", "y"])
+    kept = min_generators(Ideal(R, ["x", "y", "x*y", "x^2", "y^2"]))
+    assert [str(g) for g in kept] == ["y", "x"]
+    assert runs == [1, 2]
 
 
 def test_min_generators_no_redundant_member():

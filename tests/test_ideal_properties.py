@@ -8,8 +8,14 @@ lies in a.  In lex, grevlex and block rings, with inhomogeneous and
 constant generators, and with homogeneous ones, ``quotient`` agrees with
 the plain per-generator route (1/f)(a ∩ (f)) that neither skips a generator
 nor orders the fold.
+
+Membership in an ideal with homogeneous generators advances its basis
+computation only through the degree tested; it agrees with membership
+against the complete basis, and resuming the computation redoes nothing.
+``intersect`` in a grevlex ring hands back its result's reduced basis.
 """
 
+import contextlib
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -17,12 +23,15 @@ from hypothesis import strategies as st
 
 from resint import (
     Ideal,
+    Lex,
     Polynomial,
     Ring,
+    groebner,
     groebner_basis,
     ideals_equal,
     intersect,
     is_member,
+    normal_form,
     order_from_tag,
     quotient,
 )
@@ -160,3 +169,114 @@ def test_colon_agrees_with_the_unskipped_route(pair):
     colon = quotient(a, b)
     assert groebner_basis(colon).elements == groebner_basis(_unskipped_quotient(a, b)).elements
     assert groebner_basis(colon).is_unit == all(is_member(f, a) for f in b.generators)
+
+
+# -- membership by a partial run ------------------------------------------------
+
+RINGS4 = [
+    Ring(["x", "y", "z", "w"], order_from_tag(tag)) for tag in ("lex", "grevlex", "block:1", "block:2")
+]
+
+
+def _forms(ring, degrees, min_terms=1):
+    """Homogeneous polynomials of ring, of a degree drawn from `degrees`."""
+
+    def of_degree(degree):
+        monomial = st.lists(st.integers(0, ring.arity - 1), min_size=degree, max_size=degree).map(
+            lambda factors: tuple(factors.count(i) for i in range(ring.arity))
+        )
+        return st.dictionaries(
+            monomial, st.sampled_from([-2, -1, 1, 2]), min_size=min_terms, max_size=3
+        ).map(lambda d: Polynomial(ring, {m: Fraction(c) for m, c in d.items()}))
+
+    return st.sampled_from(degrees).flatmap(of_degree)
+
+
+@st.composite
+def _homogeneous_cases(draw):
+    """A ring, homogeneous generators of degree 1 to 3, and polynomials to
+    test: members (of one degree or several), others, and their sums."""
+    ring = draw(st.sampled_from(RINGS4))
+    gens = draw(st.lists(_forms(ring, (1, 2, 3)), min_size=1, max_size=3))
+    multiples = st.tuples(_forms(ring, (0, 1, 2)), st.sampled_from(gens))
+    members = st.lists(multiples, min_size=1, max_size=3).map(
+        lambda pairs: sum((m * g for m, g in pairs), ring.zero())
+    )
+    others = _forms(ring, (1, 2, 3, 4, 5))
+    tests = st.one_of(members, others, st.tuples(members, others).map(lambda t: t[0] + t[1]))
+    return ring, gens, draw(st.lists(tests, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_homogeneous_cases())
+def test_membership_by_a_partial_run_agrees_with_the_complete_basis(case):
+    ring, gens, tests = case
+    ideal = Ideal(ring, gens)
+    reference = groebner_basis(Ideal(ring, gens))
+    for f in tests:
+        assert is_member(f, ideal) == normal_form(f, reference).is_zero()
+
+
+@contextlib.contextmanager
+def _counted_work():
+    """Basis runs started, and the reduction steps inside them; the steps of
+    membership normal forms, which use a state of their own, are left out."""
+    runs = set()
+    counts = {"runs": 0, "run steps": 0}
+    step, buchberger = groebner._State.step, groebner._buchberger
+
+    def counted_step(state):
+        counts["run steps"] += state in runs
+        step(state)
+
+    def counted_buchberger(inputs, pk, state):
+        runs.add(state)
+        counts["runs"] += 1
+        return buchberger(inputs, pk, state)
+
+    groebner._State.step, groebner._buchberger = counted_step, counted_buchberger
+    try:
+        yield counts
+    finally:
+        groebner._State.step, groebner._buchberger = step, buchberger
+
+
+# Binomials and trinomials of degree 2 and 3 leave pairs of degree 3 to 6.
+_binomial_ideals = st.sampled_from(RINGS4).flatmap(
+    lambda ring: st.tuples(st.just(ring), st.lists(_forms(ring, (2, 3), 2), min_size=2, max_size=3))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_binomial_ideals, first=st.integers(1, 4), gap=st.integers(1, 3))
+def test_resuming_a_run_redoes_nothing(case, first, gap):
+    """is_member at degree d1, then at d2 > d1, then groebner_basis: one
+    run, taking the steps of one fresh run to the same reduced basis."""
+    ring, gens = case
+    x = ring.var("x")
+    ideal = Ideal(ring, gens)
+    with _counted_work() as resumed:
+        is_member(x**first, ideal)
+        is_member(x ** (first + gap), ideal)
+        basis = groebner_basis(ideal).elements
+    with _counted_work() as fresh:
+        assert groebner_basis(Ideal(ring, gens)).elements == basis
+    assert resumed["runs"] == fresh["runs"] == 1
+    assert resumed["run steps"] == fresh["run steps"]
+
+
+# -- intersect hands back its basis ----------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=ideals, b=ideals)
+def test_grevlex_intersection_hands_back_its_reduced_basis(a, b):
+    both = intersect(a, b)
+    assert both._gb.elements == groebner_basis(Ideal(RING, both.generators)).elements
+
+
+def test_lex_intersection_caches_no_basis():
+    ring = Ring(["x", "y", "z"], Lex())
+    both = intersect(Ideal(ring, ["x*y", "z"]), Ideal(ring, ["y^2"]))
+    assert both._gb is None
+    assert ideals_equal(both, Ideal(ring, ["x*y^2", "y^2*z"]))

@@ -1,10 +1,13 @@
 """Parser grammar conformance and error reporting."""
 
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resint import ParseError, Ring, UnknownVariableError, parse_poly
+from resint import ParseError, Polynomial, Ring, UnknownVariableError, parse_poly
 from resint.parser import NESTING_LIMIT, NegativeExponentError
 from resint.poly import DegreeOverflowError
 
@@ -140,3 +143,116 @@ def test_non_ascii_digit_is_an_unexpected_character(source, position):
     with pytest.raises(ParseError, match="unexpected character '[²٣]'") as exc:
         parse_poly(source, R)
     assert exc.value.position == position
+
+
+# -- sums built in one dict -------------------------------------------------------
+
+R3 = Ring(["x", "y", "z"])
+
+
+def _product(factors):
+    source = "*".join(f for f, _ in factors)
+    ref = factors[0][1]
+    for _, p in factors[1:]:
+        ref = ref * p
+    return source, ref
+
+
+def _add_up(case):
+    """A sum as (source, reference), the reference added up left to right
+    by Polynomial arithmetic, as the grammar associates.  When asked, it
+    ends by cancelling its first term."""
+    items, cancel = case
+    if cancel:
+        items = items + [("-" if items[0][0] == "+" else "+", items[0][1])]
+    source, ref = "", None
+    for i, (sign, (src, p)) in enumerate(items):
+        p = p if sign == "+" else -p
+        source += (sign if i or sign == "-" else "") + src
+        ref = p if ref is None else ref + p
+    return source, ref
+
+
+def _sums(factors):
+    terms = st.lists(factors, min_size=1, max_size=3).map(_product)
+    signed = st.lists(st.tuples(st.sampled_from("+-"), terms), min_size=1, max_size=4)
+    return st.tuples(signed, st.booleans()).map(_add_up)
+
+
+_number = st.one_of(
+    st.integers(0, 4).map(lambda n: (str(n), R3.constant(n))),
+    st.tuples(st.integers(0, 9), st.integers(1, 9)).map(
+        lambda t: (f"{t[0]}/{t[1]}", R3.constant(Fraction(*t)))
+    ),
+)
+# Exponents past 127, and their products, take the 16-bit packing.
+_power = st.tuples(st.sampled_from("xyz"), st.one_of(st.none(), st.integers(0, 200))).map(
+    lambda t: (t[0], R3.var(t[0])) if t[1] is None else (f"{t[0]}^{t[1]}", R3.var(t[0]) ** t[1])
+)
+_factor = st.recursive(
+    st.one_of(_number, _power),
+    lambda inner: _sums(inner).map(lambda s: (f"({s[0]})", s[1])),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sums(_factor))
+def test_parse_equals_polynomial_arithmetic(case):
+    """Monomial terms, x*x^2 among them, are summed in one dict; products
+    of parenthesised sums, rational coefficients, cancelling terms and
+    degrees past 127 give what Polynomial arithmetic gives."""
+    source, ref = case
+    assert parse_poly(source, R3) == ref
+
+
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        ("x + * y", "expected a factor, found '*' (at position 4)"),
+        ("x*", "expected a factor, found '' (at position 2)"),
+        ("+x - -y", "expected a factor, found '-' (at position 5)"),
+        ("2^3", "unexpected trailing '^' (at position 1)"),
+        ("(x + y)^2", "unexpected trailing '^' (at position 7)"),
+        ("(x + y", "expected ')', found '' (at position 6)"),
+        ("x^", "expected 'int', found '' (at position 2)"),
+        ("x^20000*y^20000", "total degree 40000 exceeds the limit of 32767"),
+        ("x^20000*y^20000 - x^20000*y^20000", "total degree 40000 exceeds the limit of 32767"),
+        ("2*x^40000", "total degree 40000 exceeds the limit of 32767"),
+        # A power is refused on its own, even after a zero factor.
+        ("0*x^40000", "total degree 40000 exceeds the limit of 32767"),
+        ("(x + 1)*x^40000", "total degree 40000 exceeds the limit of 32767"),
+        ("x^16000*(x^16000 + y)*x^1000", "total degree 33000 exceeds the limit of 32767"),
+    ],
+)
+def test_errors_keep_message_and_position(source, error):
+    with pytest.raises(ParseError if "position" in error else DegreeOverflowError) as exc:
+        parse_poly(source, R)
+    assert str(exc.value) == error
+
+
+def test_unknown_variable_keeps_message_and_position():
+    with pytest.raises(UnknownVariableError) as exc:
+        parse_poly("x + w", R)
+    assert str(exc.value) == "unknown variable 'w' (at position 4)"
+
+
+@pytest.mark.parametrize("source", ["0*x^20000*x^20000", "x*(0)*x^20000*x^20000"])
+def test_a_zero_product_refuses_no_degree(source):
+    # A product with a zero factor is zero before its degree adds up.
+    assert parse_poly(source, R).is_zero()
+
+
+def test_a_flat_sum_adds_no_polynomials(monkeypatch):
+    source = "".join(f" {'+-'[i % 2]} {i % 7}*x^{i % 60}*y^{i // 60}" for i in range(3000))
+    calls = [0]
+    add = Polynomial.__add__
+
+    def counted(self, other):
+        calls[0] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(Polynomial, "__add__", counted)
+    p = parse_poly(source, R)
+    assert calls[0] == 0
+    assert len(p.terms) == sum(1 for i in range(3000) if i % 7)
