@@ -169,10 +169,10 @@ class _EPoly:
     ``sugar`` is the degree the polynomial would have if the computation were
     homogenized: at least its own maximal degree, and for a reduced
     S-polynomial at least the sugar of its pair.  ``_buchberger`` sets
-    ``exps``, ``content`` and ``redundant`` when it inserts the polynomial.
+    ``exps`` and ``redundant`` when it inserts the polynomial.
     """
 
-    __slots__ = ("terms", "tail", "lm", "lc", "maxdeg", "sugar", "exps", "content", "redundant")
+    __slots__ = ("terms", "tail", "lm", "lc", "maxdeg", "sugar", "exps", "redundant")
 
     def __init__(self, items, degree, sugar=0):
         self.terms = items
@@ -290,20 +290,6 @@ def _spoly_terms(f, g, lcm, pk):
 # -- Buchberger ----------------------------------------------------------
 
 
-def _monomial_content(items, pk):
-    """Exponent fields of the gcd of the monomials of the packed terms
-    `items`: their fieldwise minimum, given up once it is trivial."""
-    guard, exps, top = pk.guard, pk.exps, pk.width - 1
-    c = exps  # every exponent field at its largest value
-    for m, _ in items:
-        b = m & exps
-        ge = ((c | guard) - b) & guard  # guard bit set where c's field >= b's
-        c ^= (c ^ b) & (ge - (ge >> top))
-        if not c:
-            break
-    return c
-
-
 def _buchberger(inputs, pk, state):
     """A basis computation of the input _EPolys that pauses at a degree: a
     generator, started by ``next``.  Each degree d sent to it inserts the
@@ -332,33 +318,26 @@ def _buchberger(inputs, pk, state):
     (Becker-Weispfenning's UPDATE), incrementally: the new pairs (h, g) are
     grouped by lcm, a group holding a coprime pair yields nothing, and
     otherwise its first g yields one pair, provided no other new lcm
-    properly divides it; these are pushed onto the heap.  A pair counts as
-    coprime when u = gcd(lm h, lm g) divides the monomial contents (the gcd
-    of all terms) of both h and g.  Then h = u*h' and g = u*g' with lm h'
-    and lm g' coprime, so S(h, g) = u*S(h', g'), and the product-criterion
-    identity S(h', g') = tail(g')*h' - tail(h')*g' (monic h', g'), times u,
-    is a standard representation of S(h, g) by h and g; u = 1 is Buchberger's
-    product criterion itself.  In the t-ring of ``intersect`` every element
-    that comes from t*a has t in all its terms, so its pairs whose leading
-    monomials share only t are dropped, not reduced to zero.  An old pair goes
-    when lm(h) divides its lcm and neither of its lcms with h equals it;
-    only then is the queue rebuilt and re-heapified.  The heap is ordered by
-    (sugar, packed lcm, seq): sugar selection.  The criteria compare lcms by
-    their exponent fields alone, which rank monomials lex, so a proper
-    divisor is always a smaller int.  Each element carries the exponent
-    fields of its leading monomial and its content, both found once when it
-    is inserted; a queue entry's lcm fields are its packed lcm's.  The new
-    pairs' lcms are the guard-bit max of ``Packer.lcm_exps`` inlined, the gcd
-    of two leading monomials is the guard-bit min, and it divides a content
-    when subtracting it borrows from no guard bit.  The same sweep finds
-    lm(h) dividing lm(g), which makes g redundant; g stays a reducer and a
-    pair partner, but is left out of the basis returned.  Dropping g from
-    `G` when it is marked is also a correct Buchberger, but a much slower
-    one here: ``_nf`` reduces by the first divisor in insertion order, so
-    g's reductions move to the later h, and g's pairs are no longer formed.
-    On the lex cyclic-4 ideal of the tests that variant's remainder
-    coefficients reached 28,766 bits within 251 steps, and it did not finish
-    in 90 s; kept, g lets the basis finish in 157 steps, at 16 bits.
+    properly divides it; these are pushed onto the heap.  A pair is coprime
+    when gcd(lm h, lm g) = 1 (Buchberger's product criterion).  An old pair
+    goes when lm(h) divides its lcm and neither of its lcms with h equals
+    it; only then is the queue rebuilt and re-heapified.  The heap is
+    ordered by (sugar, packed lcm, seq): sugar selection.  The criteria
+    compare lcms by their exponent fields alone, which rank monomials lex,
+    so a proper divisor is always a smaller int.  Each element carries the
+    exponent fields of its leading monomial, found once when it is
+    inserted; a queue entry's lcm fields are its packed lcm's.  The new
+    pairs' lcms are the guard-bit max of ``Packer.lcm_exps`` inlined, and
+    the gcd of two leading monomials is the guard-bit min.  The same sweep
+    finds lm(h) dividing lm(g), which makes g redundant; g stays a reducer
+    and a pair partner, but is left out of the basis returned.  Dropping g
+    from `G` when it is marked is also a correct Buchberger, but a much
+    slower one here: ``_nf`` reduces by the first divisor in insertion
+    order, so g's reductions move to the later h, and g's pairs are no
+    longer formed.  On the lex cyclic-4 ideal of the tests that variant's
+    remainder coefficients reached 28,766 bits within 251 steps, and it did
+    not finish in 90 s; kept, g lets the basis finish in 157 steps, at 16
+    bits.
     """
     guard = pk.guard
     exps = pk.exps
@@ -376,7 +355,6 @@ def _buchberger(inputs, pk, state):
         hlm = h.lm
         hexp = h.exps = hlm & exps
         high = hexp | guard
-        hc = h.content = _monomial_content(h.terms, pk)
         h.redundant = False
         first = {}  # lcm: the first g giving it, None once a pair is coprime
         for g in G:
@@ -387,10 +365,7 @@ def _buchberger(inputs, pk, state):
                 g.redundant = True
             l = gexp ^ sel  # lcm(lm h, lm g)
             first.setdefault(l, g)
-            # u = gcd(lm h, lm g) divides both contents (u = 1 always does):
-            # a coprime pair times u.
-            u = hexp ^ sel
-            if not u or hc and not ((hc - u) | (g.content - u)) & guard:
+            if not hexp ^ sel:  # gcd(lm h, lm g) = 1
                 first[l] = None
         # B-criterion, by seq.  Entries are (sugar, packed lcm, seq, f, g).
         gone = {

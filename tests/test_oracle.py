@@ -5,9 +5,10 @@ made monic, must equal the monic reduced basis ``sympy.groebner`` returns.
 Ideals are small (at most 4 variables, degree at most 3) and mix monomial,
 binomial and general generators, so that many S-pairs share an lcm and the
 pair update's equal-lcm and coprime pruning is exercised; a second strategy
-multiplies some of them by one shared monomial, so that pairs meeting only
-in a common factor of both contents are dropped as coprime.  Skipped when
-SymPy is not installed; the package itself does not depend on it.
+multiplies some of them by one shared monomial, so that many pairs have
+leading monomials that meet only in that factor: not coprime, so they are
+reduced.  Skipped when SymPy is not installed; the package itself does not
+depend on it.
 """
 
 from fractions import Fraction
@@ -53,7 +54,7 @@ def ideals(draw):
 def shared_factor_ideals(draw):
     """Ideals some of whose generators are multiplied by one shared monomial
     of degree 1 or 2, so that many pairs have leading monomials that meet
-    only in a factor of both contents and the pair update drops them."""
+    only in that factor, which the pair update does not count as coprime."""
     n, order_name, gens = draw(ideals())
     shared = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
     shift = tuple(shared.count(i) for i in range(n))
@@ -118,9 +119,9 @@ def test_shared_factor_bases_match_sympy(case):
         # leading coefficient stays 2 or 3 after content stripping, so the
         # leading term comes back as lc times the reduction's scale.
         [{(1, 1, 0): 2, (2, 0, 0): -1}, {(1, 0, 0): 3, (1, 1, 0): 2, (2, 0, 0): 3}],
-        # gcd(lm h, lm g) = x divides both leading monomials and one content
-        # but not the tail term y of the other element, so the pair is
-        # reduced.  The element without content x enters second here, and
+        # gcd(lm h, lm g) = x: every term of one element has the factor x,
+        # and the other element's tail term y does not, so the pair is
+        # reduced.  The element with the term y enters second here, and
         # first in the next case.
         [{(1, 1, 0): 1, (1, 0, 1): 1}, {(1, 0, 2): 1, (0, 1, 0): 1}],
         [{(1, 2, 0): 1, (1, 0, 0): 1}, {(1, 0, 1): 1, (0, 1, 0): 1}],
