@@ -2,14 +2,23 @@
 Groebner operations, export graphs as DOT.  ``FAMILIES`` and ``OPS`` name each
 family and op once, and ``main`` is the one place where bad input becomes exit 2.
 
+``_COMMANDS`` names each command once, with its handler, help text,
+positionals and flags, and ``_GLOBAL_FLAGS`` names the flags read before the
+command.  ``_parse`` reads the command line against these tables, and
+``--help`` is printed from them, so the help cannot drift from what is
+parsed.  The loop replaces argparse: importing it (with gettext) and
+building its parser took about as long as running the e7 containment
+checks, on every call.  A usage error prints a usage line and ``resint:
+error: ...`` to standard error and raises ``SystemExit(2)``.
+
 Exit codes: 0 all checks pass, 1 any check fails or is partial (or the reader
-closed standard output early), 2 a check error or any bad input.
+closed standard output early), 2 a check error, bad input or a usage error.
 """
 
-import argparse
 import contextvars
 import os
 import sys
+import types
 from pathlib import Path
 
 from .groebner import (
@@ -85,53 +94,18 @@ OPS = {
 }
 
 
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {text!r}") from None
+
+
 def _positive_int(text):
-    value = int(text)
+    value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(f"must be at least 1, got {value}")
     return value
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="resint",
-        description="Exact verification of linkage and residual-intersection identities.",
-        allow_abbrev=False,
-    )
-    parser.add_argument("--order", choices=["grevlex", "lex"], default="grevlex",
-                        help="monomial order for ad hoc rings")
-    parser.add_argument("--max-reductions", type=_positive_int, default=None, metavar="N",
-                        help="reduction-step budget per basis computation")
-    parser.add_argument("--json", type=Path, default=None, metavar="PATH",
-                        help="where to write the JSON report (verify)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run a scenario file")
-    p_verify.add_argument("scenario", type=Path)
-    p_verify.add_argument("--exact", action="store_true",
-                          help="upgrade containment-only checks to full equality")
-
-    p_family = sub.add_parser("family", help="print the generators of a family")
-    p_family.add_argument("name", choices=FAMILIES)
-    for flag in ("k", "n", "s", "m", "j"):
-        p_family.add_argument("--" + flag, type=int)
-    p_family.add_argument("--ideal", help="named ideal for e6/e7/pluecker")
-
-    p_op = sub.add_parser("op", help="ad hoc ideal operation")
-    p_op.add_argument("op", choices=OPS)
-    p_op.add_argument("--ring", required=True, help="comma-separated variable names")
-    p_op.add_argument("--gens", required=True, help="semicolon-separated generators")
-    for flag, (_, text) in _OP_FLAGS.items():
-        readers = "/".join(name for name, (reads, _) in OPS.items() if reads == flag)
-        p_op.add_argument("--" + flag, help=f"{text} ({readers})")
-
-    p_graph = sub.add_parser("graph", help="export a walk graph or crystal as DOT")
-    p_graph.add_argument("kind", choices=["gk", "crystal"])
-    p_graph.add_argument("type", choices=["A", "D", "E"])
-    p_graph.add_argument("rank", type=int)
-    p_graph.add_argument("k", type=int)
-    p_graph.add_argument("--dot", type=Path, default=None, help="output path (default stdout)")
-    return parser
 
 
 def _resolve_scenario_path(path):
@@ -228,18 +202,167 @@ def _cmd_graph(args):
     return 0
 
 
-_COMMANDS = {"verify": _cmd_verify, "family": _cmd_family, "op": _cmd_op, "graph": _cmd_graph}
+# A positional or flag is read by a tuple of the values it allows, or by a
+# function of its text that raises ValueError with the reason; a flag read by
+# None is a switch.  A flag left out is None, False for a switch, or the first
+# of its allowed values.  Flags map name -> (reader, help).
+#
+# name -> (handler, help, positionals as (name, reader), flags, required flags)
+_COMMANDS = {
+    "verify": (_cmd_verify, "run a scenario file", [("scenario", Path)],
+               {"exact": (None, "upgrade containment-only checks to full equality")}, ()),
+    "family": (_cmd_family, "print the generators of a family", [("name", tuple(FAMILIES))], {
+        **{f: (_int, "for " + "/".join(n for n, (needs, _) in FAMILIES.items() if f in needs))
+           for f in "knsmj"},
+        "ideal": (str, "named ideal for e6/e7/pluecker"),
+    }, ()),
+    "op": (_cmd_op, "ad hoc ideal operation", [("op", tuple(OPS))], {
+        "ring": (str, "comma-separated variable names"),
+        "gens": (str, "semicolon-separated generators"),
+        **{f: (str, text + " (" + "/".join(n for n, (reads, _) in OPS.items() if reads == f) + ")")
+           for f, (_, text) in _OP_FLAGS.items()},
+    }, ("ring", "gens")),
+    "graph": (_cmd_graph, "export a walk graph or crystal as DOT",
+              [("kind", ("gk", "crystal")), ("type", ("A", "D", "E")), ("rank", _int), ("k", _int)],
+              {"dot": (Path, "output path (default stdout)")}, ()),
+}
+
+# Read before the command, which must follow them.
+_GLOBAL_FLAGS = {
+    "order": (("grevlex", "lex"), "monomial order for ad hoc rings (default grevlex)"),
+    "max-reductions": (_positive_int, "reduction-step budget per basis computation"),
+    "json": (Path, "where to write the JSON report (verify; default <scenario>.report.json)"),
+}
+
+
+# The top level, in the shape of a command whose one positional is the command.
+_TOP = (None, "Exact verification of linkage and residual-intersection identities.",
+        [("command", tuple(_COMMANDS))], _GLOBAL_FLAGS, ())
+
+
+def _flag_usage(name, reader):
+    if reader is None:
+        return "--" + name
+    if isinstance(reader, tuple):
+        return f"--{name} {{{','.join(reader)}}}"
+    return f"--{name} {name.replace('-', '_').upper()}"
+
+
+def _usage(command):
+    _, _, positionals, flags, required = _COMMANDS[command] if command else _TOP
+    words = ["usage: resint", *([command] if command else []), "[-h]"]
+    for name, (reader, _) in flags.items():
+        word = _flag_usage(name, reader)
+        words.append(word if name in required else f"[{word}]")
+    words += [name for name, _ in positionals] + ([] if command else ["..."])
+    return " ".join(words)
+
+
+def _help(command):
+    _, about, positionals, flags, _ = _COMMANDS[command] if command else _TOP
+    if command:
+        title = "positional arguments"
+        rows = [(name, ", ".join(r) if isinstance(r, tuple) else "") for name, r in positionals]
+    else:
+        title, rows = "commands", [(name, entry[1]) for name, entry in _COMMANDS.items()]
+    options = [("-h, --help", "show this help and exit")]
+    options += [(_flag_usage(name, reader), text) for name, (reader, text) in flags.items()]
+    width = max(len(left) for left, _ in rows + options)
+    lines = [_usage(command), "", about]
+    for head, section in ((title, rows), ("options", options)):
+        lines += ["", head + ":"]
+        lines += [f"  {left:<{width}}  {text}".rstrip() for left, text in section]
+    return "\n".join(lines) + "\n"
+
+
+def _fail(command, message):
+    sys.stderr.write(f"{_usage(command)}\nresint: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _read(command, what, reader, text):
+    if isinstance(reader, tuple):
+        if text in reader:
+            return text
+        reason = f"invalid choice: {text!r} (choose from {', '.join(reader)})"
+    else:
+        try:
+            return reader(text)
+        except ValueError as exc:
+            reason = str(exc)
+    _fail(command, f"argument {what}: {reason}")
+
+
+def _defaults(args, flags):
+    for name, (reader, _) in flags.items():
+        default = False if reader is None else reader[0] if isinstance(reader, tuple) else None
+        setattr(args, name.replace("-", "_"), default)
+
+
+def _parse(argv):
+    """The global flags, ``command`` and that command's positionals and flags
+    that ``argv`` gives, read against ``_GLOBAL_FLAGS`` and ``_COMMANDS``.
+
+    ``-h``/``--help`` prints the help of its level and exits 0; a usage error
+    prints the usage line and ``resint: error: ...`` and exits 2.  A flag's
+    value is the next token or follows ``=``, and a repeated flag keeps the
+    last; after the command, flags and positionals may interleave.
+    """
+    command = None
+    _, _, positionals, flags, required = _TOP
+    args = types.SimpleNamespace()
+    _defaults(args, flags)
+    filled = 0
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            sys.stdout.flush()
+            raise SystemExit(0)
+        if token.startswith("--"):
+            name, eq, text = token[2:].partition("=")
+            if name not in flags:
+                hint = " (global flags go before the command)" if name in _GLOBAL_FLAGS else ""
+                _fail(command, f"unrecognized arguments: {token}{hint}")
+            reader = flags[name][0]
+            if reader is None:
+                if eq:
+                    _fail(command, f"argument --{name}: takes no value, got {text!r}")
+                value = True
+            else:
+                if not eq:
+                    text = next(tokens, None)
+                    if text is None:
+                        _fail(command, f"argument --{name}: expected one argument")
+                value = _read(command, "--" + name, reader, text)
+            setattr(args, name.replace("-", "_"), value)
+        elif filled < len(positionals):
+            name, reader = positionals[filled]
+            setattr(args, name, _read(command, name, reader, token))
+            filled += 1
+            if command is None:
+                command = args.command
+                _, _, positionals, flags, required = _COMMANDS[command]
+                _defaults(args, flags)
+                filled = 0
+        else:
+            _fail(command, f"unrecognized arguments: {token}")
+    missing = [name for name, _ in positionals[filled:]]
+    missing += ["--" + name for name in required if getattr(args, name) is None]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def _run(args):
     if args.max_reductions is not None:
         max_reductions.set(args.max_reductions)
-    return _COMMANDS[args.command](args)
+    return _COMMANDS[args.command][0](args)
 
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         # In a copy of the caller's context, so the budget holds for this command only.
         code = contextvars.copy_context().run(_run, args)
         sys.stdout.flush()

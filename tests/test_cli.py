@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from resint import cli
 from resint.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _data(name):
@@ -118,7 +121,7 @@ def test_verify_resolves_bundled_names(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "module, absent",
     [
-        ("resint.cli", {"resint.families", "resint.combinat", "dataclasses"}),
+        ("resint.cli", {"resint.families", "resint.combinat", "dataclasses", "argparse", "gettext"}),
         ("resint.families", {"dataclasses", "resint.verify"}),
         ("resint.combinat", {"dataclasses"}),
     ],
@@ -136,6 +139,23 @@ def test_import_loads_only_what_it_runs(module, absent):
     ).stdout
     assert module in out.split()
     assert absent.isdisjoint(out.split())
+
+
+def test_verify_run_loads_no_argument_parser(tmp_path):
+    # Only what the run adds counts, as in the import test above.
+    code = (
+        "import sys; before = set(sys.modules); from resint import cli; "
+        "code = cli.main(['--json', sys.argv[1], 'verify', 'e7']); "
+        "print(code, *sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r.json")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    code, *added = out.splitlines()[-1].split()
+    assert code == "1" and "resint.cli" in added
+    assert {"argparse", "gettext", "locale"}.isdisjoint(added)
 
 
 def test_verify_check_error_exits_two(tmp_path):
@@ -440,3 +460,117 @@ def test_max_reductions_below_one_is_a_usage_error(value, capsys):
         main(["--max-reductions", value, "op", "codim", "--ring", "x", "--gens", "x"])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_max_reductions_not_an_integer_names_the_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-reductions", "1.5", "op", "gb", "--ring", "x", "--gens", "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-reductions" in err and "'1.5'" in err
+    assert "_positive_int" not in err
+
+
+def _readme_cli_lines():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("resint ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) > 10
+    for line in lines:
+        # Parsed, not run: a documented form the parser refuses fails here.
+        args = cli._parse(shlex.split(line, comments=True)[1:])
+        assert args.command in cli._COMMANDS, line
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["--fast", "verify", "e6"], "unrecognized arguments: --fast"),
+        (["verify", "e6", "--fast"], "unrecognized arguments: --fast"),
+        (["--ord", "lex", "op", "gb", "--ring", "x", "--gens", "x"], "unrecognized arguments: --ord"),
+        (["op", "gb", "--gens", "x", "--ring"], "argument --ring: expected one argument"),
+        (["--json"], "argument --json: expected one argument"),
+        (["verify", "e6", "--exact=yes"], "argument --exact: takes no value, got 'yes'"),
+        (["--order", "deglex", "op", "gb", "--ring", "x", "--gens", "x"], "invalid choice: 'deglex'"),
+        (["family", "grassmannian", "--n", "5"], "argument name: invalid choice: 'grassmannian'"),
+        (["op", "groebner", "--ring", "x", "--gens", "x"], "argument op: invalid choice: 'groebner'"),
+        (["graph", "tree", "A", "5", "2"], "argument kind: invalid choice: 'tree'"),
+        (["graph", "gk", "F", "4", "1"], "argument type: invalid choice: 'F'"),
+        (["family", "typeA-left", "--k", "two"], "argument --k: must be an integer, got 'two'"),
+        (["graph", "gk", "E", "six", "6"], "argument rank: must be an integer, got 'six'"),
+        (["verify"], "the following arguments are required: scenario"),
+        (["graph", "gk", "E", "6"], "the following arguments are required: k"),
+        (["op", "gb", "--gens", "x"], "the following arguments are required: --ring"),
+        (["op"], "the following arguments are required: op, --ring, --gens"),
+        (["verify", "e6", "e7"], "unrecognized arguments: e7"),
+        (["verify", "e6", "--json", "r.json"], "global flags go before the command"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "unknown-global-flag", "unknown-flag",
+        "abbreviated-flag", "flag-without-value", "global-flag-without-value",
+        "switch-with-value", "bad-order", "bad-family", "bad-op", "bad-graph-kind",
+        "bad-graph-type", "non-integer-k", "non-integer-rank", "missing-scenario",
+        "missing-node", "missing-ring", "missing-op-ring-and-gens", "extra-positional",
+        "global-flag-after-command",
+    ],
+)
+def test_usage_errors_exit_two(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: resint")
+    assert error.startswith("resint: error: ") and message in error
+
+
+def test_flag_value_after_equals_sign(capsys):
+    argv = ["--order=lex", "op", "gb", "--ring=x,y", "--gens=x^2; x - y^127"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == ["y^254", "x - y^127"]
+
+
+def test_flag_value_may_start_with_a_dash(capsys):
+    assert main(["op", "gb", "--ring", "x", "--gens", "-x"]) == 0
+    assert capsys.readouterr().out == "x\n"
+
+
+def test_flags_and_positionals_interleave_and_the_last_flag_wins():
+    for argv in (["verify", "--exact", "e7"], ["verify", "e7", "--exact"]):
+        args = cli._parse(argv)
+        assert (args.command, args.scenario, args.exact) == ("verify", Path("e7"), True)
+    args = cli._parse(
+        ["--order", "lex", "--order", "grevlex", "op", "--ring", "x", "gb", "--ring", "y", "--gens", "y"]
+    )
+    assert (args.order, args.op, args.ring) == ("grevlex", "gb", "y")
+    assert cli._parse(["verify", "e6"]).order == "grevlex"
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_command_and_flag(command, flag, capsys):
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    prog, names = ("resint", [*cli._COMMANDS]) if command is None else (f"resint {command}", [])
+    flags = cli._GLOBAL_FLAGS if command is None else cli._COMMANDS[command][3]
+    assert captured.out.startswith(f"usage: {prog} [-h]")
+    for name in [*names, *("--" + f for f in flags)]:
+        assert name in captured.out.split(), name
+
+
+def test_help_after_other_arguments_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["op", "gb", "--ring", "x", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: resint op ")
