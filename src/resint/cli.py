@@ -42,11 +42,14 @@ def _pluecker_ideal(families, args):
         return model.relations
     if args.ideal == "I":
         return model.ideal_I().generators
-    if args.ideal.startswith("K_"):
-        return model.ideal_K(int(args.ideal[2:])).generators
-    if args.ideal.startswith("I_"):
-        return model.ideal_I_j(int(args.ideal[2:])).generators
-    raise PolyError(f"unknown pluecker ideal {args.ideal!r}")
+    build = {"K_": model.ideal_K, "I_": model.ideal_I_j}.get(args.ideal[:2])
+    if build is None:
+        raise PolyError(f"unknown pluecker ideal {args.ideal!r}")
+    try:
+        j = _int(args.ideal[2:])
+    except ValueError as exc:
+        raise ValueError(f"--ideal {args.ideal}: index {exc}") from None
+    return build(j).generators
 
 
 def _dataset_ideal(dataset, args):

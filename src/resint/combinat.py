@@ -6,28 +6,10 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from .families import SkewMatrix, pfaffian
-from .groebner import Ideal
 from .poly import PolyError
 
 
 class CombinatError(PolyError):
-    pass
-
-
-class InvalidTypeRankError(CombinatError):
-    pass
-
-
-class NotExtremalError(CombinatError):
-    pass
-
-
-class RankMismatchError(CombinatError):
-    pass
-
-
-class WrongTypeError(CombinatError):
     pass
 
 
@@ -50,30 +32,30 @@ class DynkinDiagram(namedtuple("DynkinDiagram", "type rank edges")):
         return len(self.neighbors(i))
 
     def check_node(self, k):
-        """Raise NotExtremalError unless k is a node of the diagram."""
+        """Raise CombinatError unless k is a node of the diagram."""
         if not 1 <= k <= self.rank:
-            raise NotExtremalError(f"node {k} outside the diagram")
+            raise CombinatError(f"node {k} outside the diagram")
 
 
 def dynkin(type, rank):
     type = type.upper()
     if type == "A":
         if rank < 1:
-            raise InvalidTypeRankError("type A needs rank >= 1")
+            raise CombinatError("type A needs rank >= 1")
         edges = {(i, i + 1) for i in range(1, rank)}
     elif type == "D":
         if rank < 4:
-            raise InvalidTypeRankError("type D needs rank >= 4")
+            raise CombinatError("type D needs rank >= 4")
         edges = {(i, i + 1) for i in range(1, rank - 2)}
         edges |= {(rank - 2, rank - 1), (rank - 2, rank)}
     elif type == "E":
         if rank not in (6, 7, 8):
-            raise InvalidTypeRankError("type E needs rank 6, 7 or 8")
+            raise CombinatError("type E needs rank 6, 7 or 8")
         chain = [1, 3, 4, 5, 6, 7, 8][: rank - 1]
         edges = {(a, b) for a, b in zip(chain, chain[1:])}
         edges.add((2, 4))
     else:
-        raise InvalidTypeRankError(f"unknown type {type!r}")
+        raise CombinatError(f"unknown type {type!r}")
     return DynkinDiagram(type, rank, frozenset(tuple(sorted(e)) for e in edges))
 
 
@@ -107,20 +89,20 @@ def build_gk(diagram, k):
     if diagram.type == "A":
         x_chain, u = [], k
     elif diagram.degree(k) != 1:
-        raise NotExtremalError(f"start node {k} is not a leaf")
+        raise CombinatError(f"start node {k} is not a leaf")
     else:
         x_chain = _walk(diagram, k, None)
         u = x_chain.pop()
         if diagram.degree(u) == 1:
-            raise NotExtremalError("no trivalent node in the diagram")
+            raise CombinatError("no trivalent node in the diagram")
     starts = [v for v in diagram.neighbors(u) if v not in x_chain[-1:]]
     if len(starts) != 2:
-        raise NotExtremalError("both arms must be nonempty")
+        raise CombinatError("both arms must be nonempty")
     if diagram.type == "A":
         starts.reverse()  # the arm up from k is y when the arms tie
     arm_a, arm_b = (_walk(diagram, v, u) for v in starts)
     if diagram.degree(arm_a[-1]) > 1 or diagram.degree(arm_b[-1]) > 1:
-        raise NotExtremalError("walk hit a second branch node")
+        raise CombinatError("walk hit a second branch node")
     # The E6 walk is labelled in the source with the short arm (2,) as y;
     # keep that fixed orientation, otherwise order the arms so d >= t.
     if len(arm_a) < len(arm_b) and (diagram.type, diagram.rank, k) != ("E", 6, 6):
@@ -182,7 +164,7 @@ class TypeACrystal:
         if len(el) != self.k or not all(
             isinstance(x, int) and lo < x for lo, x in zip(bounds, bounds[1:])
         ):
-            raise RankMismatchError(f"{el!r} is not a {self.k}-subset of [1, {self.n}]")
+            raise CombinatError(f"{el!r} is not a {self.k}-subset of [1, {self.n}]")
 
     def bruhat_leq(self, a, b):
         self._check(a)
@@ -238,7 +220,7 @@ class SpinCrystal:
 
     def _check(self, el):
         if len(el) != self.n:
-            raise RankMismatchError("sign sequence of wrong length")
+            raise CombinatError("sign sequence of wrong length")
 
     def _step(self, j, el, sign):
         """s_j when the signs at (j, j+1) read (sign, -sign), or for j = n
@@ -294,7 +276,7 @@ class SpinCrystal:
 def pfaffian_label(el):
     """Positions carrying a minus sign; they index the Pfaffian."""
     if not all(x in (1, -1) for x in el):
-        raise WrongTypeError("not a sign sequence")
+        raise CombinatError("not a sign sequence")
     return tuple(i for i, s in enumerate(el, 1) if s < 0)
 
 
@@ -305,32 +287,17 @@ def index_sequence(el, m):
     return tuple(plus + sorted(2 * m + 1 - k for k in minus))
 
 
-def typeD_schubert_ideal(el, crystal, A):
-    """Ideal of the cell Schubert variety at `el`: Pfaffians of all labels
-    not Bruhat-below el."""
-    if not isinstance(A, SkewMatrix):
-        raise WrongTypeError("expected a SkewMatrix")
-    if crystal.n != A.size:
-        raise RankMismatchError("crystal rank and matrix size differ")
-    gens = []
-    for other in crystal.elements:
-        if not crystal.bruhat_leq(other, el):
-            gens.append(pfaffian(A, pfaffian_label(other)))
-    return Ideal(A.ring, gens)
-
-
 # -- DOT export ----------------------------------------------------------------
 
 
-def _dot(graph, nodes, edges, highlight=frozenset()):
+def _dot(graph, nodes, edges):
     """Byte-deterministic DOT text of a digraph. `nodes` are (name, label)
-    pairs, drawn bold red when the name is in `highlight`; `edges` are
-    (tail, head, label), and an edge labelled None is drawn bold instead."""
+    pairs; `edges` are (tail, head, label), and an edge labelled None is
+    drawn bold instead."""
     lines = [f"digraph {graph} {{"]
     for name, label in nodes:
         label = label.replace("\\", "\\\\").replace('"', '\\"')
-        style = " style=bold color=red" if name in highlight else ""
-        lines.append(f'  "{name}" [label="{label}"{style}];')
+        lines.append(f'  "{name}" [label="{label}"];')
     for a, b, label in edges:
         attrs = "style=bold" if label is None else f'label="{label}"'
         lines.append(f'  "{a}" -> "{b}" [{attrs}];')
@@ -343,7 +310,7 @@ def gk_to_dot(g):
     return _dot("gk", [(node.name, node.label) for node in g.nodes], g.edges)
 
 
-def crystal_to_dot(crystal, highlight=()):
+def crystal_to_dot(crystal):
     """DOT rendering of a crystal graph, edges labelled by operator index."""
     name = crystal.label
     els = sorted(crystal.elements)
@@ -354,4 +321,4 @@ def crystal_to_dot(crystal, highlight=()):
             if nxt is not None:
                 edges.append((name(el), name(nxt), j))
     nodes = [(name(el), name(el)) for el in els]
-    return _dot("crystal", nodes, edges, {name(e) for e in highlight})
+    return _dot("crystal", nodes, edges)

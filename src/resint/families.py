@@ -2,9 +2,9 @@
 
 Generic matrices and their minors, skew-symmetric matrices and Pfaffians,
 the bordered matrix of the Gorenstein residual-intersection construction,
-Schubert-cell ideals on Grassmannian big cells, the Gr(2,n) Pluecker model,
-and the bundled E6/E7 datasets, read from the bundled scenario JSON, their
-only source.
+the type A and D Schubert-cell ideals, built by one rule, the Gr(2,n)
+Pluecker model, and the bundled E6/E7 datasets, read from the bundled
+scenario JSON, their only source.
 """
 
 import itertools
@@ -14,26 +14,6 @@ from .poly import PolyError, Ring
 
 
 class FamilyError(PolyError):
-    pass
-
-
-class SizeTooLargeError(FamilyError):
-    pass
-
-
-class OddSizeError(FamilyError):
-    pass
-
-
-class EvenSizeError(FamilyError):
-    pass
-
-
-class JOutOfRangeError(FamilyError):
-    pass
-
-
-class ParameterError(FamilyError):
     pass
 
 
@@ -71,7 +51,7 @@ class GenericMatrix:
 def generic_matrix(rows, cols):
     """A rows x cols grid of fresh variables y_ij in a fresh grevlex ring."""
     if rows < 1 or cols < 1:
-        raise ParameterError("matrix dimensions must be positive")
+        raise FamilyError("matrix dimensions must be positive")
     wide = max(rows, cols) > 9
     names = [_grid_name("y", i, j, wide) for i in range(1, rows + 1) for j in range(1, cols + 1)]
     ring = Ring(names)
@@ -85,7 +65,7 @@ def generic_matrix(rows, cols):
 def big_cell_matrix(k, n):
     """The k x n big-cell matrix: a k x (n-k) variable block, then I_k."""
     if not 1 <= k < n:
-        raise ParameterError("need 1 <= k < n")
+        raise FamilyError("need 1 <= k < n")
     block = generic_matrix(k, n - k)
     ring = block.ring
     entries = []
@@ -101,7 +81,7 @@ def matrix_minor(M, rows, cols):
     rows = tuple(rows)
     cols = tuple(cols)
     if len(rows) != len(cols):
-        raise ParameterError("minor needs equally many rows and columns")
+        raise FamilyError("minor needs equally many rows and columns")
     return _cofactor(M, rows, cols)
 
 
@@ -127,7 +107,7 @@ def _cofactor(M, rows, cols):
 def minors(M, r):
     """All r x r minors, cofactor-expanded through the matrix's memo."""
     if r < 0 or r > min(M.rows, M.cols):
-        raise SizeTooLargeError(f"no {r}x{r} minors of a {M.rows}x{M.cols} matrix")
+        raise FamilyError(f"no {r}x{r} minors of a {M.rows}x{M.cols} matrix")
     return [
         _cofactor(M, rows, cols)
         for rows in itertools.combinations(range(1, M.rows + 1), r)
@@ -160,7 +140,7 @@ class SkewMatrix:
 def generic_skew(m):
     """Generic m x m skew matrix of fresh variables x_ij."""
     if m < 1:
-        raise ParameterError("size must be positive")
+        raise FamilyError("size must be positive")
     wide = m > 9
     names = [_grid_name("x", i, j, wide) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     ring = Ring(names)
@@ -176,7 +156,7 @@ def zero_corner(A, j):
     """Copy of A with the south-east j x j block set to zero."""
     m = A.size
     if not 0 <= j <= m:
-        raise JOutOfRangeError(f"j={j} outside [0, {m}]")
+        raise FamilyError(f"j={j} outside [0, {m}]")
     cut = m - j
     upper = {
         (a, b): A.entry(a, b)
@@ -195,7 +175,7 @@ def ku_bordered(A, j):
     """
     m = A.size
     if not 1 <= j <= m:
-        raise JOutOfRangeError(f"j={j} outside [1, {m}]")
+        raise FamilyError(f"j={j} outside [1, {m}]")
     one = A.ring.one()
     upper = {}
     for a in range(1, m + 1):
@@ -214,7 +194,7 @@ def pfaffian(A, rows=None):
         rows = range(1, A.size + 1)
     S = tuple(sorted(rows))
     if len(S) % 2:
-        raise OddSizeError("pfaffian needs an even index set")
+        raise FamilyError("pfaffian needs an even index set")
     return _pf(A, S)
 
 
@@ -240,7 +220,7 @@ def submaximal_pfaffians(A):
     """pf([1,m] minus {t}) for t = 1..m, for odd m."""
     m = A.size
     if m % 2 == 0:
-        raise EvenSizeError("sub-maximal pfaffians need odd size")
+        raise FamilyError("sub-maximal pfaffians need odd size")
     full = tuple(range(1, m + 1))
     return [_pf(A, tuple(x for x in full if x != t)) for t in range(1, m + 1)]
 
@@ -264,7 +244,7 @@ def pfaffian_ideal_containing(A, j):
     """
     m = A.size
     if not 3 <= j <= m:
-        raise JOutOfRangeError(f"j={j} outside [3, {m}]")
+        raise FamilyError(f"j={j} outside [3, {m}]")
     return Ideal(A.ring, _even_pfaffians(A, range(1, m - j + 1), range(m - j + 1, m + 1)))
 
 
@@ -276,9 +256,9 @@ def pfaffian_colon_base(A, j):
     """
     m = A.size
     if m % 2 == 0:
-        raise EvenSizeError("odd size required")
+        raise FamilyError("odd size required")
     if not 3 <= j <= m:
-        raise JOutOfRangeError(f"j={j} outside [3, {m}]")
+        raise FamilyError(f"j={j} outside [3, {m}]")
     return submaximal_pfaffians(A)[m - j :]
 
 
@@ -289,7 +269,37 @@ def bordered_pfaffian_ideal(A, j):
     return Ideal(A.ring, _even_pfaffians(T, range(1, m + 1), range(m + 1, m + j + 1)))
 
 
-# -- type A Schubert-cell ideals -------------------------------------------
+# -- Schubert-cell ideals -----------------------------------------------------
+
+
+def schubert_ideal(ring, crystal, el, unit, coordinate):
+    """Vanishing ideal of the cell Schubert variety at the crystal element
+    `el`: the coordinates of the elements outside the Bruhat interval between
+    `el` and `unit`, the extremal element whose coordinate is 1.
+
+    One rule for every type; only the coordinate and the unit differ.  In
+    type A the unit is the crystal's top, the last k columns of the big-cell
+    matrix; in type D it is the spin bottom, pf of the empty set.
+    """
+    leq = crystal.bruhat_leq
+    lo, hi = (el, unit) if leq(el, unit) else (unit, el)
+    return Ideal(
+        ring, [coordinate(x) for x in crystal.elements if not (leq(lo, x) and leq(x, hi))]
+    )
+
+
+def typeD_schubert_ideal(el, crystal, A):
+    """Ideal of the cell Schubert variety at the spin element `el`: the
+    Pfaffians of all labels not Bruhat-below el."""
+    from .combinat import pfaffian_label
+
+    if not isinstance(A, SkewMatrix):
+        raise FamilyError("expected a SkewMatrix")
+    if crystal.n != A.size:
+        raise FamilyError("crystal rank and matrix size differ")
+    return schubert_ideal(
+        A.ring, crystal, el, crystal.bottom(), lambda x: pfaffian(A, pfaffian_label(x))
+    )
 
 
 def typeA_left_subset(k, s):
@@ -311,49 +321,44 @@ def typeA_coordinate(M, subset):
     return matrix_minor(M, range(1, M.rows + 1), subset)
 
 
-def typeA_schubert_ideal(M, w):
-    """Vanishing ideal of the cell Schubert variety for the k-subset w of
-    [1, n], on the k x n big-cell matrix M.
+def _typeA_schubert(k, n, w):
+    """Ideal of the cell Schubert variety at the k-subset w of [1, n], on the
+    k x n big-cell matrix: the p_tau with tau not componentwise >= w."""
+    from .combinat import TypeACrystal
 
-    Generated by the coordinates p_tau with tau not componentwise >= w.
-    """
-    rows = tuple(range(1, M.rows + 1))
-    gens = []
-    for tau in itertools.combinations(range(1, M.cols + 1), M.rows):
-        if all(t >= x for t, x in zip(tau, w)):
-            continue
-        p = _cofactor(M, rows, tau)
-        if not p.is_zero():
-            gens.append(p)
-    return Ideal(M.ring, gens)
+    M = big_cell_matrix(k, n)
+    crystal = TypeACrystal(k, n)
+    return schubert_ideal(
+        M.ring, crystal, w, crystal.elements[-1], lambda tau: typeA_coordinate(M, tau)
+    )
 
 
 def _check_typeA_params(k, n):
     if not 2 <= k <= n - 2:
-        raise ParameterError(f"need 2 <= k <= n-2, got k={k}, n={n}")
+        raise FamilyError(f"need 2 <= k <= n-2, got k={k}, n={n}")
 
 
 def typeA_left_ideal(k, n, s):
     """Ideal of the s-th long-arm node (s = 1 is the first arm node y_1)."""
     _check_typeA_params(k, n)
     if not 0 <= s <= n - k - 1:
-        raise ParameterError(f"left arm index s={s} outside [0, {n - k - 1}]")
-    return typeA_schubert_ideal(big_cell_matrix(k, n), typeA_left_subset(k, s + 1))
+        raise FamilyError(f"left arm index s={s} outside [0, {n - k - 1}]")
+    return _typeA_schubert(k, n, typeA_left_subset(k, s + 1))
 
 
 def typeA_right_ideal(k, n, s):
     """Ideal of the walk node s steps down the short arm (s = 2 is z_1)."""
     _check_typeA_params(k, n)
     if not 0 <= s <= k:
-        raise ParameterError(f"right walk index s={s} outside [0, {k}]")
-    return typeA_schubert_ideal(big_cell_matrix(k, n), typeA_right_subset(k, s))
+        raise FamilyError(f"right walk index s={s} outside [0, {k}]")
+    return _typeA_schubert(k, n, typeA_right_subset(k, s))
 
 
 def typeA_left_chain(k, n, upto):
     """Linking coordinates p along the long-arm walk, positions 0..upto."""
     _check_typeA_params(k, n)
     if not 0 <= upto <= n - k:
-        raise ParameterError(f"walk position {upto} outside [0, {n - k}]")
+        raise FamilyError(f"walk position {upto} outside [0, {n - k}]")
     M = big_cell_matrix(k, n)
     return [typeA_coordinate(M, typeA_left_subset(k, s)) for s in range(upto + 1)]
 
@@ -361,7 +366,7 @@ def typeA_left_chain(k, n, upto):
 def typeA_right_chain(k, n, upto):
     _check_typeA_params(k, n)
     if not 0 <= upto <= k:
-        raise ParameterError(f"walk position {upto} outside [0, {k}]")
+        raise FamilyError(f"walk position {upto} outside [0, {k}]")
     M = big_cell_matrix(k, n)
     return [typeA_coordinate(M, typeA_right_subset(k, s)) for s in range(upto + 1)]
 
@@ -405,7 +410,7 @@ class Gr2Model:
 
     def _check_j(self, j):
         if not 1 <= j < self.n:
-            raise ParameterError(f"j={j} outside [1, {self.n - 1}]")
+            raise FamilyError(f"j={j} outside [1, {self.n - 1}]")
 
 
 def pluecker_gr2(n):
@@ -413,7 +418,7 @@ def pluecker_gr2(n):
 
     The coordinates are p_st for s < t, named p_s_t once n > 9."""
     if n < 4:
-        raise ParameterError("need n >= 4")
+        raise FamilyError("need n >= 4")
     wide = n > 9
     pairs = itertools.combinations(range(1, n + 1), 2)
     ring = Ring([_grid_name("p", s, t, wide) for s, t in pairs])
@@ -445,16 +450,12 @@ def e6_dataset():
     return _bundled("e6")
 
 
-def e7_dataset(i2="I51"):
-    """The 27-variable scenario; `i2` picks the ideal aliased as I2.
+def e7_dataset():
+    """The 27-variable scenario, with its I2 also named I51.
 
     The session checks leave I2 undefined; I51, the scenario's I2, is the
     reading that reproduces both recorded verdicts (see the dataset
     verification suite).
     """
     ds = _bundled("e7")
-    ideals = dict(ds.ideals, I51=ds.ideals["I2"])
-    if i2 not in ideals:
-        raise ParameterError(f"unknown I2 alias {i2!r}")
-    ideals["I2"] = ideals[i2]
-    return ds._replace(ideals=ideals)
+    return ds._replace(ideals=dict(ds.ideals, I51=ds.ideals["I2"]))

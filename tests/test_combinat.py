@@ -8,12 +8,8 @@ from resint import ideals_equal
 from resint.combinat import (
     CombinatError,
     DynkinDiagram,
-    InvalidTypeRankError,
-    NotExtremalError,
-    RankMismatchError,
     SpinCrystal,
     TypeACrystal,
-    WrongTypeError,
     build_gk,
     crystal_to_dot,
     dynkin,
@@ -21,9 +17,15 @@ from resint.combinat import (
     index_sequence,
     pfaffian_label,
     t_constraint,
+)
+from resint.families import (
+    FamilyError,
+    generic_skew,
+    pfaffian_ideal_containing,
+    typeA_left_subset,
+    typeA_right_subset,
     typeD_schubert_ideal,
 )
-from resint.families import generic_skew, pfaffian_ideal_containing
 
 
 # -- Dynkin diagrams -----------------------------------------------------------
@@ -34,9 +36,9 @@ def test_dynkin_shapes():
     assert all(a5.degree(i) <= 2 for i in range(1, 6))
     assert dynkin("E", 6).degree(4) == 3
     assert dynkin("D", 5).degree(3) == 3
-    with pytest.raises(InvalidTypeRankError):
+    with pytest.raises(CombinatError, match="type E needs rank 6, 7 or 8"):
         dynkin("E", 9)
-    with pytest.raises(InvalidTypeRankError):
+    with pytest.raises(CombinatError, match="type D needs rank >= 4"):
         dynkin("D", 3)
 
 
@@ -93,9 +95,9 @@ def test_build_gk_edge_count_invariant():
 
 
 def test_build_gk_rejects_bad_start():
-    with pytest.raises(NotExtremalError):
+    with pytest.raises(CombinatError, match="start node 4 is not a leaf"):
         build_gk(dynkin("E", 6), 4)  # interior node
-    with pytest.raises(NotExtremalError):
+    with pytest.raises(CombinatError, match="both arms must be nonempty"):
         build_gk(dynkin("A", 5), 1)  # degenerate arm
 
 
@@ -103,13 +105,13 @@ def test_build_gk_rejects_diagrams_that_are_not_t_shaped():
     def diagram(rank, edges):
         return DynkinDiagram("D", rank, frozenset(edges))
 
-    with pytest.raises(NotExtremalError, match="outside the diagram"):
+    with pytest.raises(CombinatError, match="outside the diagram"):
         build_gk(dynkin("D", 5), 6)
-    with pytest.raises(NotExtremalError, match="no trivalent node"):
+    with pytest.raises(CombinatError, match="no trivalent node"):
         build_gk(diagram(3, {(1, 2), (2, 3)}), 1)
-    with pytest.raises(NotExtremalError, match="second branch node"):
+    with pytest.raises(CombinatError, match="second branch node"):
         build_gk(diagram(6, {(1, 3), (2, 3), (3, 4), (4, 5), (4, 6)}), 1)
-    with pytest.raises(NotExtremalError, match="both arms must be nonempty"):
+    with pytest.raises(CombinatError, match="both arms must be nonempty"):
         build_gk(dynkin("A", 5), 5)
 
 
@@ -218,7 +220,7 @@ def test_spin_operator_index_outside_range(crystal, el, op, j, top):
 )
 def test_typeA_element_outside_the_crystal(op, j, el):
     # Each is no 2-subset of [1, 5], so no step or comparison may take it.
-    with pytest.raises(RankMismatchError, match=r"is not a 2-subset of \[1, 5\]"):
+    with pytest.raises(CombinatError, match=r"is not a 2-subset of \[1, 5\]"):
         getattr(TypeACrystal(2, 5), op)(j, el)
 
 
@@ -288,7 +290,7 @@ def test_pfaffian_labels():
     assert pfaffian_label((1, 1, 1, 1)) == ()
     assert pfaffian_label((-1, -1, 1, 1)) == (1, 2)
     assert pfaffian_label((-1, -1, -1, -1)) == (1, 2, 3, 4)
-    with pytest.raises(WrongTypeError):
+    with pytest.raises(CombinatError, match="not a sign sequence"):
         pfaffian_label((1, 0, -1))
 
 
@@ -320,8 +322,51 @@ def test_schubert_ideal_single_plus_is_containing_ideal():
 def test_schubert_ideal_rank_mismatch():
     s = SpinCrystal(4)
     A = generic_skew(5)
-    with pytest.raises(RankMismatchError):
+    with pytest.raises(FamilyError, match="crystal rank and matrix size differ"):
         typeD_schubert_ideal((1, 1, 1, 1), s, A)
+
+
+# -- the walk graph reads off the families ------------------------------------
+
+
+def _apply_word(crystal, word, el):
+    """The Weyl word acting on el: its last letter acts first."""
+    for j in reversed(word):
+        el = crystal.reflect(j, el)
+    return el
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_typeA_walk_words_reach_the_arm_subsets(n):
+    # Along each arm from p0 through the branch node, the s-th node's word
+    # takes the bottom k-subset to walk node s of the type A builders: the
+    # arm through k+1 is the long-arm rule, the arm through k-1 the short-arm
+    # rule, whichever of them is the longer y arm.
+    for k in range(2, n - 1):
+        g = build_gk(dynkin("A", n - 1), k)
+        crystal = TypeACrystal(k, n)
+        words = {node.dynkin: node.word for node in g.nodes}
+        for arm in (g.y_arm, g.z_arm):
+            rule = typeA_left_subset if arm[0] == k + 1 else typeA_right_subset
+            path = [()] + [words[v] for v in (g.u, *arm)]
+            reached = [_apply_word(crystal, w, crystal.elements[0]) for w in path]
+            assert reached == [rule(k, s) for s in range(len(path))], (k, arm)
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_typeD_walk_words_reach_the_containing_pfaffians(m):
+    # Node v of the y arm of D_m, applied to the spin top, is the element
+    # whose Schubert ideal is generated by the Pfaffians containing [1, v].
+    g = build_gk(dynkin("D", m), m)
+    s = SpinCrystal(m)
+    A = generic_skew(m)
+    arm_nodes = [node for node in g.nodes if node.dynkin in g.y_arm]
+    assert [node.dynkin for node in arm_nodes] == list(g.y_arm) == list(range(m - 3, 0, -1))
+    for node in arm_nodes:
+        el = _apply_word(s, node.word, s.top())
+        ideal = typeD_schubert_ideal(el, s, A)
+        expected = pfaffian_ideal_containing(A, m - node.dynkin)
+        assert set(ideal.generators) == set(expected.generators), node
 
 
 # -- DOT export -----------------------------------------------------------------------
@@ -345,9 +390,3 @@ def test_crystal_dot_counts():
     node_lines = [l for l in dot_a.splitlines() if "label=" in l and "->" not in l]
     assert len(node_lines) == 15
     assert crystal_to_dot(SpinCrystal(4)) == dot
-
-
-def test_crystal_dot_highlight():
-    s = SpinCrystal(4)
-    dot = crystal_to_dot(s, highlight=[s.bottom()])
-    assert "color=red" in dot

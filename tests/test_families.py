@@ -8,11 +8,7 @@ import pytest
 
 from resint import Ideal, ideals_equal, is_member, parse_poly
 from resint.families import (
-    EvenSizeError,
-    JOutOfRangeError,
-    OddSizeError,
-    ParameterError,
-    SizeTooLargeError,
+    FamilyError,
     big_cell_matrix,
     bordered_pfaffian_ideal,
     e6_dataset,
@@ -62,7 +58,7 @@ def test_minor_counts():
     single = minors(generic_matrix(2, 2), 2)
     assert len(single) == 1
     assert single[0] == parse_poly("y_11*y_22 - y_12*y_21", single[0].ring)
-    with pytest.raises(SizeTooLargeError):
+    with pytest.raises(FamilyError, match="no 3x3 minors of a 2x3 matrix"):
         minors(M, 3)
 
 
@@ -110,7 +106,7 @@ def test_pfaffian_small_cases():
     assert pfaffian(A, [1, 2, 3, 4]) == parse_poly(
         "x_12*x_34 - x_13*x_24 + x_14*x_23", A.ring
     )
-    with pytest.raises(OddSizeError):
+    with pytest.raises(FamilyError, match="pfaffian needs an even index set"):
         pfaffian(A, [1, 2, 3])
 
 
@@ -137,7 +133,7 @@ def test_submaximal_pfaffians():
     subs = submaximal_pfaffians(A5)
     assert len(subs) == 5
     assert all(p.total_degree() == 2 for p in subs)
-    with pytest.raises(EvenSizeError):
+    with pytest.raises(FamilyError, match="sub-maximal pfaffians need odd size"):
         submaximal_pfaffians(generic_skew(4))
 
 
@@ -148,7 +144,7 @@ def test_pfaffian_ideal_containing_counts():
     assert len(all_even.generators) == 16
     four = pfaffian_ideal_containing(A, 3)
     assert len(four.generators) == 4
-    with pytest.raises(JOutOfRangeError):
+    with pytest.raises(FamilyError, match=r"j=2 outside \[3, 5\]"):
         pfaffian_ideal_containing(A, 2)
 
 
@@ -221,7 +217,7 @@ def test_typeA_right_examples():
     assert len(I.generators) == 1
     M = big_cell_matrix(2, 5)
     assert I.generators[0] == typeA_coordinate(M, (1, 2))
-    with pytest.raises(ParameterError):
+    with pytest.raises(FamilyError, match=r"right walk index s=9 outside \[0, 2\]"):
         typeA_right_ideal(2, 5, 9)
 
 
@@ -229,9 +225,9 @@ def test_typeA_chain_bounds():
     from resint.families import typeA_left_chain, typeA_right_chain
 
     assert len(typeA_left_chain(2, 5, 3)) == 4
-    with pytest.raises(ParameterError):
+    with pytest.raises(FamilyError, match=r"walk position 4 outside \[0, 3\]"):
         typeA_left_chain(2, 5, 4)
-    with pytest.raises(ParameterError):
+    with pytest.raises(FamilyError, match=r"walk position 3 outside \[0, 2\]"):
         typeA_right_chain(2, 5, 3)
 
 
@@ -268,7 +264,7 @@ def minors_of_rows(M, rows, width):
 def test_pluecker_relation_counts():
     assert len(pluecker_gr2(4).relations) == 1
     assert len(pluecker_gr2(5).relations) == 5
-    with pytest.raises(ParameterError):
+    with pytest.raises(FamilyError, match="need n >= 4"):
         pluecker_gr2(3)
 
 
@@ -347,7 +343,7 @@ def test_e7_euler_identity():
 
 
 def test_e7_alternative_alias():
-    ds = e7_dataset(i2="I3")
-    assert ds.ideals["I2"].generators == ds.ideals["I3"].generators
-    with pytest.raises(ParameterError):
-        e7_dataset(i2="nope")
+    # I51 is the scenario's I2 itself; the alternative reading I3 is another ideal.
+    ideals = e7_dataset().ideals
+    assert ideals["I51"] is ideals["I2"]
+    assert ideals["I3"].generators != ideals["I2"].generators
