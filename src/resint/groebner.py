@@ -10,30 +10,25 @@ generators in a ring of that order.  Membership in an ideal of homogeneous
 generators advances its basis computation only through the degree tested,
 and the paused computation waits in a second slot until it is resumed.
 
-Inside the engine a monomial is the packed int of ``resint.poly``:
-comparing ints compares monomials, the reduction heap holds negated ints,
-multiplying and dividing monomials is adding and subtracting ints, and a
-divides b exactly when ``b - a`` borrows from no guard bit.  Each basis
-computation and each normal form runs at the widest width of its inputs, 8
-or 16 bits, so every polynomial hands its stored keys and integer
-numerators to the engine as they are.  Results leave the same way, already
-descending.  The total degree bounds every field, so a reduction product,
-S-polynomial shift or pair lcm of degree 2**(width - 1) stops the
+Inside the engine a monomial is the packed int of ``resint.poly``, and the
+reduction heap holds negated ints.  Each basis computation and each normal
+form runs at the widest width of its inputs, 8 or 16 bits, so every
+polynomial hands its stored keys and integer numerators to the engine as
+they are, and results leave the same way, already descending.  A reduction
+product, S-polynomial shift or pair lcm of degree 2**(width - 1) stops the
 computation: at 8 bits it is redone once at 16, and at 16 bits, where
 ``resint.poly.DEGREE_LIMIT`` is reached, it raises ``GroebnerError`` naming
-the limit instead of wrapping.  A pair's packed lcm is lm(h) plus the
-packed image of the few nonzero exponent fields of lcm / lm(h), by
-linearity.
+the limit instead of wrapping.
 
-``intersect`` is the one elimination: it lifts its inputs into the
-``t``-ring, and strips ``t`` from its outputs, on grevlex packed keys, which
-keep their order, at any width: the generators are packed at the one width
-that holds their largest degree plus one for ``t``.  A ring of another order
-intersects in its grevlex twin, the grevlex ring on the same variables, and
-moves the generators back.  Eliminating other variables is a basis in a
-``BlockElim(k)`` ring with them in front, keeping the elements whose leading
-monomial has no front variable.  ``quotient`` finds each part a : f in the
-grevlex twin too, by the reverse-lex property, moving keys by shifts.
+``intersect`` is the one elimination, in a ``BlockElim(1)`` ring with ``t``
+in front: its inputs move there by ``Packer.lift_front`` and its outputs
+back by ``drop_front``.  A ring of another order intersects in its grevlex
+twin, the grevlex ring on the same variables, and moves the generators back.
+Eliminating other variables is a basis in a ``BlockElim(k)`` ring with them
+in front, keeping the elements whose leading monomial has no front variable.
+``quotient`` finds each part a : f in the grevlex twin too, by the
+reverse-lex property, in a ring entered by ``Packer.lift_last`` and left by
+``drop_last``.
 """
 
 import contextvars
@@ -50,7 +45,6 @@ from .poly import (
     PolyError,
     Ring,
     RingMismatchError,
-    _width_for,
     mon_div,
     mon_lcm,
 )
@@ -387,7 +381,7 @@ def _buchberger(inputs, pk, state):
                 minimal.append(l)
                 g = first[l]
                 if g is not None:
-                    packed = hlm + enc_exps(l - hexp)
+                    packed = hlm + enc_exps(l - hexp)  # lm(h) * (lcm / lm(h))
                     deg = packed & degree
                     if deg >= limit:
                         raise _degree_error(deg, pk)
@@ -645,47 +639,23 @@ def intersect(a, b):
     ring = a.ring
     if not a.generators or not b.generators:
         return Ideal(ring, ())
-    # The elimination runs in the grevlex twin: a ring of another order
-    # moves its generators there and the result back.
     twin = _grevlex_twin(ring)
     gens = _moved(a.generators + b.generators, twin)
     work_ring = Ring((_fresh_aux_name(ring),) + ring.variables, BlockElim(1))
-    # BlockElim(1) ranks by the degree in t, then by grevlex in the ring's
-    # variables.  At any width its layout is the grevlex layout with one
-    # field on top (t's weight row), one inserted above the exponent block
-    # (t's exponent) and t added to the degree.  A grevlex key therefore
-    # lifts into and strips out of the t-ring by shifts, keeping its place:
-    # t*g keeps g's order, and t*h comes before h.  The lift packs every
-    # generator at the width that holds the largest degree plus t.
-    pk = twin.packer(_width_for(max([g.total_degree() for g in gens]) + 1))
-    width = pk.width
-    low = width * (ring.arity + 1)  # the exponent block and the degree field
-    mask = (1 << low) - 1
-    rows = low + width  # where the grevlex rows sit in the t-ring
-    wpk = work_ring.packer(width)
-    tkey = wpk.units[0]
+    t = work_ring.var(work_ring.variables[0])
     work = []
     for i, g in enumerate(gens):
-        lifted = [((k >> low) << rows) + (k & mask) for k in g._packed(pk)]
-        keys = [k + tkey for k in lifted]
-        nums = g._nums
-        if i >= len(a.generators):
-            keys += lifted
-            nums = [-c for c in nums] + list(nums)
-        work.append(Polynomial._stored(work_ring, keys, nums, g._den, wpk))
+        pk = work_ring.packer(g._packer.width)
+        lifted = Polynomial._stored(work_ring, g._packer.lift_front(g._keys), g._nums, g._den, pk)
+        work.append(t * lifted if i < len(a.generators) else lifted - t * lifted)
     gb = groebner_basis(Ideal(work_ring, work))
     out = []
     for p in gb.elements:
-        # The top field of a t-ring key is its degree in t, and no term of p
-        # has t when its leading term has none.
-        width = p._packer.width
-        low = width * (ring.arity + 1)
-        if p._keys[0] >> (2 * low):
-            continue
-        mask = (1 << low) - 1
-        rows = low + width
-        keys = [((k >> rows) << low) + (k & mask) for k in p._keys]
-        out.append(Polynomial._stored(twin, keys, p._nums, p._den, twin.packer(width)))
+        # No term of p has t when its leading term has none.
+        pk = p._packer
+        if not pk.exponent(p._keys[0], 0):
+            keys = pk.drop_front(p._keys)
+            out.append(Polynomial._stored(twin, keys, p._nums, p._den, twin.packer(pk.width)))
     result = Ideal(ring, _moved(out, ring))
     if twin is ring:
         # Stripped of t, the t-free part of a reduced BlockElim(1) basis is
@@ -707,8 +677,8 @@ def _colon_route(a, homogeneous):
     f^q y^r, their coefficients of 1, ..., y^(d-1) generate a : f.
     Otherwise a's cached grevlex basis and f are homogenized by a fresh z
     before y (Cox, Little and O'Shea, Ch. 8 section 4), and z = 1 is set at
-    the end.  a is lifted once for every f.  Keys lift and drop by shifts,
-    keeping their order, and f is replaced by its numerator F: a : f = a : F.
+    the end.  a is lifted once for every f, and f is replaced by its
+    numerator F: a : f = a : F.
     """
     ring = a.ring
     n = ring.arity
@@ -718,22 +688,12 @@ def _colon_route(a, homogeneous):
     yring = Ring(ring.variables + added)
 
     def lift(p, nums, den):
-        """p in the y-ring over `nums` and `den`, homogenized by z: its rows
-        go under k more rows of its degree, its exponents over k more."""
-        width = p._packer.width
-        low, rows, exps = width * (n + 1), width * (n + k + 1), width * (k + 1)
-        mask, degree = (1 << (width * n)) - 1, (1 << width) - 1
-        degrees = 1 + sum(1 << (width * (2 * (n + k) - j)) for j in range(k))
-        pk = yring.packer(width)
-        z = pk.units[n] if k == 2 else 0
-        total = p.total_degree()
-        keys = [
-            ((key >> low) << rows)
-            + (((key >> width) & mask) << exps)
-            + (key & degree) * degrees
-            + (total - (key & degree)) * z
-            for key in p._keys
-        ]
+        """p in the y-ring over `nums` and `den`, homogenized by z."""
+        pk = yring.packer(p._packer.width)
+        keys = p._packer.lift_last(p._keys, k)
+        if k == 2:
+            z, degree, total = pk.units[n], pk.degree, p.total_degree()
+            keys = [key + (total - (key & degree)) * z for key in keys]
         return Polynomial._stored(yring, keys, nums, den, pk)
 
     gens = a.generators if homogeneous else groebner_basis(a).elements
@@ -745,9 +705,9 @@ def _colon_route(a, homogeneous):
         powers = {}  # (width, q): the terms of F^q at width
         out = []
         for g in groebner_basis(Ideal(yring, lifted + [F - yring.var(y) ** d])).elements:
-            width = g._packer.width
-            unit, field = g._packer.units[-1], (1 << width) - 1
-            ey = [(key >> width) & field for key in g._keys]  # y is the last variable
+            pk = g._packer
+            width, unit, exponent = pk.width, pk.units[-1], pk.exponent
+            ey = [exponent(key, n + k - 1) for key in g._keys]  # y is the last variable
             s = min(d, min(ey))
             groups = [{} for _ in range(d)]
             for key, e, c in zip(g._keys, ey, g._nums):
@@ -759,19 +719,11 @@ def _colon_route(a, homogeneous):
                 key -= e * unit
                 for fm, fc in powers[width, q] if q else ((0, 1),):
                     acc[key + fm] = acc.get(key + fm, 0) + c * fc
-            # A y-free key drops to ring by the rows and exponents of x
-            # alone, which sets z = 1; the top row of x is its degree.
-            low, rows, exps = width * (n + 1), width * (n + k + 1), width * (k + 1)
-            mask, top = (1 << (width * n)) - 1, width * (n - 1)
             for acc in groups:
                 keys = sorted([m for m, c in acc.items() if c], reverse=True)
                 if keys:
-                    dropped = [
-                        ((x := (m >> rows) & mask) << low) + (((m >> exps) & mask) << width)
-                        + (x >> top)
-                        for m in keys
-                    ]
                     nums = [acc[m] for m in keys]
+                    dropped = pk.drop_last(keys, k)  # sets z = 1
                     out.append(Polynomial._stored(ring, dropped, nums, 1, ring.packer(width)))
         return out
 
@@ -900,15 +852,12 @@ def certify_basis(gb):
 
 
 def min_generators(ideal):
-    """A minimal generating subset of the given homogeneous generators."""
+    """A minimal generating subset of the homogeneous generators, whatever their order."""
     ring = ideal.ring
     for g in ideal.generators:
         if not g.is_homogeneous():
             raise NonHomogeneousError(f"nonhomogeneous generator {g}")
-    key = ring.order.key
-    gens = sorted(
-        ideal.generators, key=lambda g: (g.total_degree(), key(g.leading_monomial()))
-    )
+    gens = sorted(ideal.generators, key=lambda g: (g.total_degree(), g.terms))
     kept = []
     # One ideal per kept set, so each skipped generator resumes its run.
     span = None

@@ -29,6 +29,16 @@ of that degree or more raises ``DegreeOverflowError``.  The Buchberger
 engine in ``resint.groebner`` runs in the ring's order at the widest width
 of its inputs, and takes a polynomial's keys and numerators as they are.
 
+Four ``Packer`` embeddings map grevlex keys by field shifts to ``enc`` of
+their monomials in a ring with more variables and back, for the colon and
+``intersect`` of ``resint.groebner``.  ``lift_last`` adds k variables last:
+k rows of the degree on top, k zero fields under the exponents.
+``drop_last`` sets the last k to 1: the rows of the others, whose top row is
+their degree, and their exponents.  ``lift_front`` adds one variable first
+under ``BlockElim(1)``: its row on top, its exponent field above the others;
+``drop_front`` removes it.  All keep term order, ``drop_last`` among
+monomials of one degree and one exponent in each of the last k - 1.
+
 ``NAME`` is the one rule for a name, ASCII only: a ring variable, a variable
 token of ``resint.parser`` and a scenario's polynomial name all match
 ``[A-Za-z_][A-Za-z0-9_]*``.
@@ -258,8 +268,46 @@ class Packer:
         ge = ((a | h) - b) & h  # guard bit set where a's field >= b's
         return b ^ ((a ^ b) & (ge - (ge >> (self.width - 1))))
 
+    def exponent(self, key, i):
+        """The exponent of variable i in the packed monomial `key`."""
+        return (key >> (self.width * (self.n - i))) & self.degree
 
-@functools.lru_cache(maxsize=128)
+    def lift_last(self, keys, k):
+        """Grevlex keys into ``packer(GrevLex(), n + k, width)``: k variables added last."""
+        width, n, degree = self.width, self.n, self.degree
+        low, rows, exps = width * (n + 1), width * (n + k + 1), width * (k + 1)
+        mask = (1 << (width * n)) - 1
+        degrees = 1 + sum(1 << (width * (2 * (n + k) - j)) for j in range(k))
+        return [
+            ((key >> low) << rows) + (((key >> width) & mask) << exps) + (key & degree) * degrees
+            for key in keys
+        ]
+
+    def drop_last(self, keys, k):
+        """Grevlex keys into ``packer(GrevLex(), n - k, width)``: the last k set to 1."""
+        width, n = self.width, self.n - k
+        low, rows, exps = width * (n + 1), width * (n + k + 1), width * (k + 1)
+        mask, top = (1 << (width * n)) - 1, width * (n - 1)
+        return [
+            ((x := (key >> rows) & mask) << low) + (((key >> exps) & mask) << width) + (x >> top)
+            for key in keys
+        ]
+
+    def lift_front(self, keys):
+        """Grevlex keys into ``packer(BlockElim(1), n + 1, width)``: one variable added first."""
+        low = self.width * (self.n + 1)
+        mask, rows = (1 << low) - 1, low + self.width
+        return [((key >> low) << rows) + (key & mask) for key in keys]
+
+    def drop_front(self, keys):
+        """``BlockElim(1)`` keys free of the first variable into
+        ``packer(GrevLex(), n - 1, width)``: ``lift_front`` undone."""
+        low = self.width * self.n
+        mask, rows = (1 << low) - 1, low + self.width
+        return [((key >> rows) << low) + (key & mask) for key in keys]
+
+
+@functools.cache
 def packer(order, n, width):
     """The shared packer of (order, n, width); shared so that keys made by
     one can be recognised by identity."""
@@ -401,7 +449,7 @@ class Polynomial:
 
     def _fill(self, ring, keys, nums, den, pk):
         # The common factor of den and nums, and any width the degree does
-        # not need (after a cancellation or a division), are taken out here.
+        # not need (after a cancellation or ``drop_last``), are dropped here.
         if den != 1:
             g = gcd(den, *nums)
             if g != 1:

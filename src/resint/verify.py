@@ -378,6 +378,8 @@ def check_residual_intersection(A, I, K, s, facts=None):
 
 
 def check_residual_containment(A, I, K, s, facts=None):
+    """One-sided evidence for ``check_residual_intersection``: A ⊆ I, codim(K)
+    >= s >= mu(A) and ``check_colon_containment``; a scenario cannot expect false."""
     facts = {} if facts is None else facts
     contained = _fact(facts, _contained, A, I)
     mu = _fact(facts, _mu, A)

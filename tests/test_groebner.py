@@ -8,6 +8,7 @@ independent combinatorial oracle on monomial ideals.
 import contextvars
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -793,6 +794,15 @@ def test_min_generators_examples():
     R = Ring(["x", "y"])
     assert [str(g) for g in min_generators(Ideal(R, ["x", "x*y"]))] == ["x"]
     assert len(min_generators(Ideal(R, ["x", "y", "x + y"]))) == 2
+
+
+def test_min_generators_does_not_depend_on_the_order_of_the_generators():
+    """Generators are tried in (degree, terms) order, the order quotient
+    takes its divisors in, not in the order given."""
+    R = Ring(["x", "y"])
+    gens = [parse_poly(s, R) for s in ("x*y", "x*y + y^2", "y^2")]
+    kept = {tuple(min_generators(Ideal(R, list(p)))) for p in permutations(gens)}
+    assert [[str(g) for g in k] for k in kept] == [["y^2", "x*y"]]
 
 
 def test_min_generators_rejects_nonhomogeneous():

@@ -31,7 +31,7 @@ from resint import (
     order_from_tag,
     quotient,
 )
-from resint.poly import FIELD_WIDTHS, Packer
+from resint.poly import FIELD_WIDTHS, Packer, packer
 
 ORDERS = [Lex(), GrevLex(), BlockElim(1), BlockElim(2)]
 
@@ -108,6 +108,16 @@ def test_equal_orders_share_rings_and_packers(order):
         "block:1": "BlockElim(front=1)",
         "block:2": "BlockElim(front=2)",
     }[order.tag]
+
+
+def test_packers_stay_shared_past_many_others():
+    """A ring's packer is still shared after 160 other packers are built: a
+    forgotten one would re-encode every key where two rings' polynomials meet."""
+    first = Ring(["a", "b", "c"]).packer(8)
+    for n in range(1, 41):
+        for order in ORDERS:
+            packer(order, n, FIELD_WIDTHS[-1])
+    assert Ring(["a", "b", "c"]).packer(8) is first
 
 
 @pytest.mark.parametrize("order", [GrevLex(), Lex()], ids=lambda o: o.tag)

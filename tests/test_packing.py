@@ -126,6 +126,77 @@ def test_pack_multiply_lcm_and_divisibility(width, case, data):
     assert p.enc_exps(ea & p.exps) == ea
 
 
+# -- embeddings ------------------------------------------------------------
+#
+# Each embedding must equal enc of the embedded monomials in the target
+# packer, for arities through those of the bundled colons (e7's y-ring has
+# 28 variables) and degrees up to each width's limit, and keep descending
+# keys strictly descending.
+
+
+def _descending(p, ms):
+    """The distinct monomials `ms`, descending under packer p."""
+    return sorted(set(ms), key=p.enc, reverse=True)
+
+
+def _strictly_descending(keys):
+    return keys == sorted(set(keys), reverse=True)
+
+
+@pytest.mark.parametrize("width", ENGINE_WIDTHS)
+@settings(max_examples=100, deadline=None)
+@given(case=order_and_arity(), data=st.data())
+def test_exponent_reads_one_variable(width, case, data):
+    order, n = case
+    p = packer(order, n, width)
+    for m in _monomials(data, n, 4, p.limit):
+        assert [p.exponent(p.enc(m), i) for i in range(n)] == list(m)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("width", ENGINE_WIDTHS)
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30), data=st.data())
+def test_lift_last_adds_variables_last(width, k, n, data):
+    src, dst = packer(GrevLex(), n, width), packer(GrevLex(), n + k, width)
+    ms = _descending(src, _monomials(data, n, data.draw(st.integers(1, 8)), src.limit))
+    lifted = src.lift_last([src.enc(m) for m in ms], k)
+    assert lifted == [dst.enc(m + (0,) * k) for m in ms]
+    assert _strictly_descending(lifted)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("width", ENGINE_WIDTHS)
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30), data=st.data())
+def test_drop_last_sets_the_last_variables_to_one(width, k, n, data):
+    src, dst = packer(GrevLex(), n + k, width), packer(GrevLex(), n, width)
+    ms = _monomials(data, n + k, data.draw(st.integers(1, 8)), src.limit)
+    assert src.drop_last([src.enc(m) for m in ms], k) == [dst.enc(m[:n]) for m in ms]
+    # Monomials of one degree, with one exponent c in each of the last k - 1
+    # variables, keep their order.
+    c = data.draw(st.integers(0, 3))
+    xs = _monomials(data, n, data.draw(st.integers(1, 8)), src.limit - 3 * (k - 1))
+    top = max(map(sum, xs))
+    ms = _descending(src, [x + (top - sum(x),) + (c,) * (k - 1) for x in xs])
+    dropped = src.drop_last([src.enc(m) for m in ms], k)
+    assert dropped == [dst.enc(m[:n]) for m in ms]
+    assert _strictly_descending(dropped)
+
+
+@pytest.mark.parametrize("width", ENGINE_WIDTHS)
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 30), data=st.data())
+def test_lift_front_and_drop_front_move_a_first_variable(width, n, data):
+    src, dst = packer(GrevLex(), n, width), packer(BlockElim(1), n + 1, width)
+    ms = _descending(src, _monomials(data, n, data.draw(st.integers(1, 8)), src.limit))
+    keys = [src.enc(m) for m in ms]
+    lifted = src.lift_front(keys)
+    assert lifted == [dst.enc((0,) + m) for m in ms]
+    assert _strictly_descending(lifted)
+    assert dst.drop_front([dst.enc((0,) + m) for m in ms]) == keys
+
+
 # -- wide polynomials ------------------------------------------------------
 
 # At, just past and far past each field width; from 2**15 on, past the
