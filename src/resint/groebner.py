@@ -738,15 +738,18 @@ def quotient(a, b):
     generators in (degree, terms) order, so the work does not depend on the
     order of b's generators.  A generator f is skipped when R·f lies in a:
     then R lies in a : f, so R ∩ (a : f) = R.  The test is f ∈ a first
-    (a : f = (1)), the whole test while R = (1), and then each element of
-    R's reduced basis times f.  Only when it fails is a : f computed, as a
-    reverse-lex colon (``_colon_route``), and R becomes R ∩ (a : f): the
-    fold runs only when a product test fails.  So a : b is the unit ideal,
-    generated by 1, exactly when every generator lies in a.  The
-    memberships, R and the fold stay in the grevlex twin; only the final R
-    moves to a's ring, and a grevlex ring gets R itself, its basis cached.
-    A b with a nonzero constant is (1), so a : b = a: it is returned on a's
-    generators, or as (1) when a is the unit ideal.
+    (a : f = (1)), the whole test while R = (1), and then g·f ∈ a for each
+    generator g of R, as the colon or ``intersect`` gave them, that is
+    neither a generator nor a member of a.  Any generating set of R decides
+    R·f ⊆ a, and g ∈ a gives g·f ∈ a, so the skip is exact; those g are
+    found once for each R, when it is first tested.  Only when the test
+    fails is a : f computed, as a reverse-lex colon (``_colon_route``), and
+    R becomes R ∩ (a : f): the fold runs only when a product test fails.
+    So a : b is the unit ideal, generated by 1, exactly when every
+    generator lies in a.  The memberships, R and the fold stay in the
+    grevlex twin; only the final R moves to a's ring, and a grevlex ring
+    gets R itself.  A b with a nonzero constant is (1), so a : b = a: it is
+    returned on a's generators, or as (1) when a is the unit ideal.
     """
     if a.ring != b.ring:
         raise RingMismatchError("ideals from different rings")
@@ -760,15 +763,21 @@ def quotient(a, b):
     divisors = sorted(_moved(b.generators, twin), key=lambda f: (f.total_degree(), f.terms))
     homogeneous = all(p.is_homogeneous() for p in within.generators + tuple(divisors))
     colon = _colon_route(within, homogeneous)
-    result = None  # R, None while it is (1)
+    result = outside = None  # R, None while it is (1), and its generators not in a
     for f in divisors:
-        if is_member(f, within) or (
-            result is not None
-            and all(is_member(g * f, within) for g in groebner_basis(result).elements)
-        ):
+        if is_member(f, within):
             continue
+        if result is not None:
+            if outside is None:
+                outside = [
+                    g for g in result.generators
+                    if g not in within.generators and not is_member(g, within)
+                ]
+            if all(is_member(g * f, within) for g in outside):
+                continue
         part = Ideal(twin, colon(f))
         result = part if result is None else intersect(result, part)
+        outside = None
     if result is None:
         return Ideal(ring, (ring.one(),))
     return result if twin is ring else Ideal(ring, _moved(result.generators, ring))

@@ -228,12 +228,11 @@ class Packer:
         fields = order.weight_rows(n)
         fields += [tuple(1 if v == i else 0 for v in range(n)) for i in range(n)]
         fields.append((1,) * n)
-        top = len(fields) - 1
+        self.codec = struct.Struct(f">{len(fields)}{_STRUCT_CODES[width]}")
+        # The unit of variable i packs its column of the fields, highest first.
         self.units = tuple(
-            sum(row[i] << (width * (top - f)) for f, row in enumerate(fields))
-            for i in range(n)
+            int.from_bytes(self.codec.pack(*column), "big") for column in zip(*fields)
         )
-        self.codec = struct.Struct(f">{top + 1}{_STRUCT_CODES[width]}")
         # Guard bits of the exponent and degree fields: a | b iff not
         # (b - a) & guard.  The exponent fields alone (weights and degree
         # zero) carry the pair lcms of the Buchberger loop.

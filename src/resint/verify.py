@@ -90,6 +90,8 @@ class Report:
 
 # -- scenario loading ---------------------------------------------------------
 
+_SCENARIO_KEYS = {"format", "name", "ring", "polys", "ideals", "checks"}
+_RING_KEYS = {"vars", "order"}
 _CHECK_KEYS = {"kind", "args", "name", "expect", "mode"}
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
@@ -102,6 +104,14 @@ def _typed(value, json_type, what):
     return value
 
 
+def _known_keys(spec, keys, where):
+    """Refuse a key of the object `spec` outside `keys`: a misspelt key
+    would otherwise be ignored and its default used."""
+    unknown = sorted(set(spec) - keys)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {unknown!r}")
+
+
 def load_scenario(data, name="scenario"):
     """Build a Scenario from a parsed JSON object (or a path via load_scenario_file)."""
     _typed(data, dict, "a scenario")
@@ -109,10 +119,12 @@ def load_scenario(data, name="scenario"):
     # true and 1.0 compare equal to 1 but are not the integer 1.
     if type(version) is not int or version != FORMAT_VERSION:
         raise ScenarioError(f"unsupported scenario format {version!r}")
+    _known_keys(data, _SCENARIO_KEYS, "scenario")
     name = _typed(data.get("name", name), str, "the scenario name")
     ring_spec = data.get("ring")
     if not isinstance(ring_spec, dict) or "vars" not in ring_spec:
         raise ScenarioError("scenario is missing the ring declaration")
+    _known_keys(ring_spec, _RING_KEYS, "ring")
     for v in _typed(ring_spec["vars"], list, "ring vars"):
         _typed(v, str, "a ring variable")
     try:
@@ -158,9 +170,7 @@ def load_scenario(data, name="scenario"):
         kind = spec.get("kind")
         cname = _typed(spec.get("name", f"check-{i}-{kind}"), str, f"check {i} name")
         where = f"check {i} ({cname!r})"
-        unknown = sorted(set(spec) - _CHECK_KEYS)
-        if unknown:
-            raise ScenarioError(f"{where}: unknown keys {unknown!r}")
+        _known_keys(spec, _CHECK_KEYS, where)
         if not isinstance(kind, str) or kind not in CHECKS:
             raise ScenarioError(f"{where}: unknown kind {kind!r}")
         types, _, containment = CHECKS[kind]

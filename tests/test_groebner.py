@@ -532,21 +532,24 @@ def test_quotient_skips_divisor_generators_in_the_ideal(colon_work):
 
 @pytest.mark.parametrize("tag", ORDER_TAGS)
 @pytest.mark.parametrize(
-    "gens, colons, folds",
+    "gens, by, colons, folds",
     [
         # y comes first and a : y = a; a*x lies in a, so x is skipped.
-        (["x^2 - y*z"], 1, 0),
+        (["x^2 - y*z"], ["x", "y"], 1, 0),
         # a : y = (x*(x + 2*y)), and x^2*(x + 2*y) is not in a: x is folded.
-        (["x^2*y + 2*x*y^2"], 2, 1),
+        (["x^2*y + 2*x*y^2"], ["x", "y"], 2, 1),
+        # After the fold R = a, whose one generator lies in a, so x + y is
+        # skipped with no product and no third colon.
+        (["x^2*y + 2*x*y^2"], ["x", "y", "x + y"], 2, 1),
     ],
-    ids=["skipped", "folded"],
+    ids=["skipped", "folded", "skipped-after-fold"],
 )
-def test_quotient_folds_only_when_a_product_test_fails(tag, gens, colons, folds, colon_work):
+def test_quotient_folds_only_when_a_product_test_fails(tag, gens, by, colons, folds, colon_work):
     """A generator f of b is skipped when the colon R found so far has R*f
     in a; otherwise a : f is computed and intersected with R."""
     R = Ring(["x", "y", "z"], order_from_tag(tag))
     a = Ideal(R, gens)
-    colon = quotient(a, Ideal(R, ["x", "y"]))
+    colon = quotient(a, Ideal(R, by))
     assert (len(colon_work[0]), len(colon_work[1])) == (colons, folds)
     assert _in_ring(colon, R)
     assert ideals_equal(colon, a)
@@ -566,6 +569,49 @@ def test_gr26_colon_takes_one_colon_and_no_fold(tag, colon_work):
     assert (len(colon_work[0]), len(colon_work[1])) == (1, 0)
     assert _in_ring(colon, ring)
     assert ideals_equal(colon, moved(model.ideal_I_j(5)))
+
+
+@pytest.mark.parametrize("j, outside, products", [(3, 3, 3), (4, 1, 2), (5, 0, 0)])
+def test_gr26_product_test_multiplies_only_generators_outside_a(j, outside, products, monkeypatch):
+    """In (K_j) : (I) on Gr(2,6) the product test multiplies a later f of I
+    by R's generators that are neither generators nor members of K_j, and
+    not by R's reduced basis (12, 15 and 16 elements); the count of
+    product memberships does not depend on the order of the generators."""
+    model = pluecker_gr2(6)
+    route, member = groebner._colon_route, groebner.is_member
+    for shuffle in range(4):
+        rng = random.Random(shuffle)
+        K, I = model.ideal_K(j), model.ideal_I()
+        K = Ideal(K.ring, rng.sample(K.generators, len(K.generators)))
+        I = Ideal(I.ring, rng.sample(I.generators, len(I.generators)))
+        memberships, parts = [], []
+
+        def counted_route(a, homogeneous):
+            colon = route(a, homogeneous)
+
+            def counted(f):
+                part = colon(f)
+                parts.extend(part)
+                return part
+
+            return counted
+
+        def counted_member(f, ideal):
+            memberships.append(f)
+            return member(f, ideal)
+
+        monkeypatch.setattr(groebner, "_colon_route", counted_route)
+        monkeypatch.setattr(groebner, "is_member", counted_member)
+        colon = quotient(K, I)
+        monkeypatch.undo()
+        # A product is a new polynomial; f and R's generators are passed as they are.
+        known = I.generators + tuple(parts)
+        multiplied = [p for p in memberships if not any(p is q for q in known)]
+        factors = {g for p in multiplied for g in parts for f in I.generators if g * f == p}
+        assert (len(factors), len(multiplied)) == (outside, products)
+        assert not factors & set(K.generators)
+        assert not any(is_member(g, K) for g in factors)
+        assert ideals_equal(colon, model.ideal_I_j(j))
 
 
 def test_lex_quotient_computes_no_lex_basis(monkeypatch):

@@ -34,6 +34,7 @@ from resint.groebner import DEGREE_LIMIT, GroebnerError, certify_basis
 from resint.poly import (
     FIELD_WIDTHS,
     DegreeOverflowError,
+    Packer,
     mon_lcm,
     packer,
 )
@@ -124,6 +125,23 @@ def test_pack_multiply_lcm_and_divisibility(width, case, data):
     # exponent fields of lcm / lm(h).
     assert ea + p.enc_exps(l - (ea & p.exps)) == p.enc(mon_lcm(a, b))
     assert p.enc_exps(ea & p.exps) == ea
+
+
+@pytest.mark.parametrize("width", ENGINE_WIDTHS)
+def test_units_pack_each_column_of_the_fields(width):
+    """Each variable's unit, packed by the codec, is the sum of its column
+    of fields shifted into place, highest field first."""
+    for n in range(1, 31):
+        for order in [Lex(), GrevLex()] + [BlockElim(f) for f in range(n + 1)]:
+            fields = order.weight_rows(n)
+            fields += [tuple(1 if v == i else 0 for v in range(n)) for i in range(n)]
+            fields.append((1,) * n)
+            top = len(fields) - 1
+            shifted = tuple(
+                sum(row[i] << (width * (top - f)) for f, row in enumerate(fields))
+                for i in range(n)
+            )
+            assert Packer(order, n, width).units == shifted, (order, n)
 
 
 # -- embeddings ------------------------------------------------------------

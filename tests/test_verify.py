@@ -347,6 +347,22 @@ def test_scenario_json_types_are_checked(doc):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # Unread, "ordr" would leave the ring in grevlex.
+        (dict(SCENARIO, ring={"vars": ["x", "y"], "ordr": "lex"}), "ring: unknown keys ['ordr']"),
+        (dict(SCENARIO, idealz={"Z": ["x"]}), "scenario: unknown keys ['idealz']"),
+        (dict(SCENARIO, check=[], polyz={}), "scenario: unknown keys ['check', 'polyz']"),
+    ],
+    ids=["ring-key", "top-level-key", "top-level-keys"],
+)
+def test_unknown_scenario_keys_are_refused(doc, message):
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(doc)
+    assert str(exc.value) == message
+
+
 # Arguments on which every check kind holds: (xy) links (x) and (y).
 PASSING_ARGS = {
     "colon_equals": ["a", "X", "Y"],
