@@ -836,6 +836,98 @@ def codim(ideal):
     return ideal.ring.arity - dimension(ideal)
 
 
+def _times_binomial(coeffs, d):
+    """The coefficients of coeffs(t) * (1 - t^d)."""
+    out = coeffs + [0] * d
+    for i, c in enumerate(coeffs):
+        out[i + d] -= c
+    return out
+
+
+def _monomial_numerator(mons, pk):
+    """The coefficients of K(t) for the monomial ideal M of `mons`, keys of
+    `pk` cut to their exponent and degree fields, none dividing another.
+
+    A monomial p outside M gives the exact sequence 0 → R/(M : p)(−deg p)
+    → R/M → R/(M + p) → 0, so N(M) = N(M + p) + t^deg(p)·N(M : p).  The
+    pivot is x^e, x a variable in the most generators and e its least
+    exponent among them.  While x is in two generators x^e is not in M, and
+    every generator with x has x-exponent at least e, so M + x^e is the
+    generators without x and x^e, whose N is (1 − t^e) times theirs, and
+    M : x^e takes e off each of those exponents.  Generators that share no
+    variable give Π(1 − t^deg) (Bayer and Stillman, J. Symb. Comp. 14,
+    1992; Bigatti, J. Pure Appl. Algebra 119, 1997).  The splits wait on a
+    stack, each with its multiplier, so no Python recursion limit applies."""
+    degree, guard, exps, width = pk.degree, pk.guard, pk.exps, pk.width
+    total = []
+    stack = [(mons, [1])]
+    while stack:
+        mons, mult = stack.pop()
+        # The guard bit of each nonzero exponent field: x's bit is in a
+        # support when x divides the monomial.
+        sups = [((m & exps) + exps) & guard for m in mons]
+        seen = shared = 0
+        for s in sups:
+            shared |= seen & s
+            seen |= s
+        if not shared:
+            for m in mons:
+                mult = _times_binomial(mult, m & degree)
+            if len(mult) > len(total):
+                total += [0] * (len(mult) - len(total))
+            for i, c in enumerate(mult):
+                total[i] += c
+            continue
+        best = 0
+        bits = shared
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            count = sum([1 for s in sups if s & bit])
+            if count > best:
+                best, pivot = count, bit
+        shift = pivot.bit_length() - width
+        e = min([(m >> shift) & degree for m, s in zip(mons, sups) if s & pivot])
+        xe = e * ((1 << shift) | 1)
+        stack.append(([m for m, s in zip(mons, sups) if not s & pivot], _times_binomial(mult, e)))
+        # M : x^e, kept minimal: by ascending degree a divisor comes first.
+        colon = []
+        quotients = [m - xe if s & pivot else m for m, s in zip(mons, sups)]
+        for m in sorted(quotients, key=lambda m: m & degree):
+            for k in colon:
+                if not (m - k) & guard:
+                    break
+            else:
+                colon.append(m)
+        stack.append((colon, [0] * e + mult))
+    while total and not total[-1]:
+        total.pop()
+    return tuple(total)
+
+
+def hilbert_numerator(ideal):
+    """The integer coefficients of K(t), constant first, where the Hilbert
+    series of R/ideal is K(t) / (1 − t)^n, n the ring's arity; the zero
+    polynomial, the unit ideal's, is ().
+
+    The generators must be homogeneous.  Then R/ideal and R/in(ideal) have
+    the same Hilbert function in every monomial order (Macaulay), so K is
+    read off the leading monomials of the ideal's reduced basis, which
+    divide no other (``_monomial_numerator``).
+    """
+    for g in ideal.generators:
+        if not g.is_homogeneous():
+            raise NonHomogeneousError(f"nonhomogeneous generator {g}")
+    elements = groebner_basis(ideal).elements
+    pk = ideal.ring.packer(max([p._packer.width for p in elements], default=FIELD_WIDTHS[0]))
+    low = (1 << pk.width * (pk.n + 1)) - 1  # the exponent and degree fields
+    leads = [
+        (p._keys[0] if p._packer is pk else pk.enc(p._packer.dec(p._keys[0]))) & low
+        for p in elements
+    ]
+    return _monomial_numerator(leads, pk)
+
+
 def s_polynomial(f, g):
     """The S-polynomial of f and g in their ring's order."""
     if f.ring != g.ring:

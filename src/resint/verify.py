@@ -17,6 +17,7 @@ from collections import namedtuple
 from .groebner import (
     Ideal,
     codim,
+    hilbert_numerator,
     ideals_equal,
     intersect,
     is_member,
@@ -211,6 +212,8 @@ def _unique_keys(pairs):
 
 
 def load_scenario_file(path):
+    """The Scenario in the JSON file `path`.  Every load error names the
+    file once, so a script that verifies several can tell which failed."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh, object_pairs_hook=_unique_keys)
@@ -219,7 +222,10 @@ def load_scenario_file(path):
             raise ScenarioError(f"{path}: JSON nested too deeply to read") from None
         except (UnicodeDecodeError, json.JSONDecodeError, ScenarioError) as exc:
             raise ScenarioError(f"{path}: {exc}") from None
-    return load_scenario(data, name=str(path))
+    try:
+        return load_scenario(data, name=str(path))
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def bundled_scenario_path(name):
@@ -235,10 +241,11 @@ def bundled_scenario_path(name):
 # A check is a conjunction of facts about its argument ideals.  A run keeps
 # one table of facts, keyed by the fact and its argument ideals; an Ideal
 # hashes by identity and each scenario name is one Ideal, so the key is in
-# effect the names.  The values are bools and ints: the basis cache on each
-# Ideal stays the one cache of engine work.  Facts call the operations
-# through the names imported above, so a wrapper bound over those names sees
-# every call.
+# effect the names.  The values are bools, ints, Hilbert numerators (tuples
+# of ints) and the ideal I + J of a pair, one Ideal so that every fact about
+# it shares its basis: the basis cache on each Ideal stays the one cache of
+# engine work.  Facts call the operations through the names imported above,
+# so a wrapper bound over those names sees every call.
 
 
 def _fact(facts, compute, *args):
@@ -289,14 +296,52 @@ def _mu(X):
     return len(min_generators(X))
 
 
-def _intersection_equals(a, I, J):
-    """a == I ∩ J."""
+def _ideal_sum(I, J):
+    """I + J: one Ideal per pair in the table, so its facts share one basis."""
+    return Ideal(I.ring, I.generators + J.generators)
+
+
+def _eliminated_equals(a, I, J):
+    """a == I ∩ J, by elimination."""
     return ideals_equal(a, intersect(I, J))
 
 
-def _sum_codim(I, J):
-    """ht(I + J)."""
-    return codim(Ideal(I.ring, I.generators + J.generators))
+def _coefficient_sum(p, q):
+    """p + q for coefficient tuples, constant first, trailing zeros dropped."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _intersection_equals(facts, a, I, J):
+    """a == I ∩ J, read from and kept in the table `facts`.
+
+    When every generator of a, I and J is homogeneous, a == I ∩ J exactly
+    when a ⊆ I, a ⊆ J and K_a + K_(I+J) == K_I + K_J, K_X the numerator of
+    the Hilbert series of R/X (``hilbert_numerator``).  The sequence
+    0 → R/(I ∩ J) → R/I ⊕ R/J → R/(I + J) → 0 is exact, so the Hilbert
+    series of R/(I ∩ J) is that of R/I plus that of R/J minus that of
+    R/(I + J), and the identity says R/a and R/(I ∩ J) have the same
+    Hilbert function.  With a ⊆ I ∩ J, a_d ⊆ (I ∩ J)_d are k-spaces of
+    equal finite dimension in every degree d, so a = I ∩ J; the
+    numerators do not depend on the monomial order.  The bases of a, I, J
+    and I + J are those the containment, colon and codim facts use.  With
+    an inhomogeneous generator the Hilbert function decides nothing, and
+    ideals_equal(a, intersect(I, J)) is the only exact route.
+    """
+    if not all(g.is_homogeneous() for X in (a, I, J) for g in X.generators):
+        return _fact(facts, _eliminated_equals, a, I, J)
+    if not (_fact(facts, _contained, a, I) and _fact(facts, _contained, a, J)):
+        return False
+    K_a, K_I, K_J, K_sum = (
+        _fact(facts, hilbert_numerator, X) for X in (a, I, J, _fact(facts, _ideal_sum, I, J))
+    )
+    return _coefficient_sum(K_a, K_sum) == _coefficient_sum(K_I, K_J)
 
 
 # -- checks --------------------------------------------------------------------
@@ -348,8 +393,8 @@ def check_geometric_link(a, I, J, facts=None):
     """ht(I+J) >= g+1 and (a) = I ∩ J."""
     facts = {} if facts is None else facts
     g = _fact(facts, codim, I)
-    cod_sum = _fact(facts, _sum_codim, I, J)
-    inter_eq = _fact(facts, _intersection_equals, a, I, J)
+    cod_sum = _fact(facts, codim, _fact(facts, _ideal_sum, I, J))
+    inter_eq = _intersection_equals(facts, a, I, J)
     ok = cod_sum >= g + 1 and inter_eq
     return ok, {
         "codim_I": g,

@@ -110,6 +110,22 @@ def test_verify_unreadable_scenario_exits_two(tmp_path, capsys, content, message
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # A schema error from the loader, and one from reading the JSON.
+        ('{"format": 1, "ring": {"vars": ["x"]}, "idealz": {}}', "scenario: unknown keys ['idealz']"),
+        ('{"format": 1, "format": 1}', "duplicate key 'format'"),
+    ],
+    ids=["schema", "json"],
+)
+def test_verify_load_errors_name_the_file_once(tmp_path, capsys, doc, message):
+    path = tmp_path / "keys.json"
+    path.write_text(doc)
+    assert main(["--json", str(tmp_path / "r.json"), "verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_verify_resolves_bundled_names(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--json", str(tmp_path / "r.json"), "verify", "e6"]) == 0

@@ -25,6 +25,7 @@ from resint import (
     ZeroIdealDivisorError,
     codim,
     groebner_basis,
+    hilbert_numerator,
     ideals_equal,
     intersect,
     is_member,
@@ -35,7 +36,7 @@ from resint import (
     parse_poly,
     quotient,
 )
-from resint import groebner
+from resint import groebner, verify
 from resint.families import pluecker_gr2
 from resint.groebner import GroebnerBasis, certify_basis, s_polynomial
 from resint.poly import mon_div, mon_lcm
@@ -730,6 +731,75 @@ def test_codim_stable_across_orders():
     assert codim(Ideal(Ring(["x", "y", "z"], GrevLex()), gens)) == codim(
         Ideal(Ring(["x", "y", "z"], Lex()), gens)
     )
+
+
+# -- Hilbert numerators ---------------------------------------------------------
+
+
+def _numerator_by_counting(ideal, top):
+    """K(t) through degree `top`, from the number of monomials of each degree
+    that no leading monomial of the ideal's basis divides, times (1 - t)^n;
+    exact when K has no term past `top`."""
+    n = ideal.ring.arity
+    leads = groebner_basis(ideal).leading_monomials()
+    counts = [0] * (top + 1)
+    stack = [()]
+    while stack:
+        m = stack.pop()
+        if len(m) < n:
+            stack.extend(m + (e,) for e in range(top + 1 - sum(m)))
+        elif not any(mon_divides(l, m) for l in leads):
+            counts[sum(m)] += 1
+    for _ in range(n):
+        counts = [c - (counts[i - 1] if i else 0) for i, c in enumerate(counts)]
+    while counts and not counts[-1]:
+        counts.pop()
+    return tuple(counts)
+
+
+def test_hilbert_numerator_of_a_complete_intersection():
+    R = Ring(["x", "y"])
+    assert hilbert_numerator(Ideal(R, ["x^2", "y^2"])) == (1, 0, -2, 0, 1)
+
+
+def test_hilbert_numerator_of_the_zero_and_the_unit_ideal():
+    R = Ring(["x", "y", "z"])
+    assert hilbert_numerator(Ideal(R, [])) == (1,)
+    assert hilbert_numerator(Ideal(R, ["1"])) == ()
+
+
+def test_hilbert_numerator_of_e6_a1_is_four_quadrics():
+    a_1 = verify.load_scenario_file(verify.bundled_scenario_path("e6")).ideals["a_1"]
+    assert hilbert_numerator(a_1) == (1, 0, -4, 0, 6, 0, -4, 0, 1)  # (1 - t^2)^4
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ["x^2 + y*z", "x*y - z^2", "y^3"],
+        ["x*z - y^2", "y*w - z^2", "x*w - y*z"],  # the twisted cubic
+        ["x^2*y - z^3", "x*y*w + 2*z^2*w", "y^4 - w^4 + x*z^3"],
+    ],
+)
+def test_hilbert_numerator_does_not_depend_on_the_order(gens):
+    numerators = set()
+    for tag in ORDER_TAGS:
+        ideal = Ideal(Ring(["x", "y", "z", "w"], order_from_tag(tag)), gens)
+        assert hilbert_numerator(ideal) == _numerator_by_counting(ideal, 12)
+        numerators.add(hilbert_numerator(ideal))
+    assert len(numerators) == 1
+
+
+def test_hilbert_numerator_reads_16_bit_keys():
+    R = Ring(["x", "y"])
+    ideal = Ideal(R, ["x^130*y", "x*y^130", "x^66*y^66"])
+    assert {p._packer.width for p in groebner_basis(ideal)} == {16}
+    assert hilbert_numerator(ideal) == _numerator_by_counting(ideal, 200)
+
+
+def test_hilbert_numerator_rejects_nonhomogeneous():
+    with pytest.raises(NonHomogeneousError):
+        hilbert_numerator(Ideal(Ring(["x", "y"]), ["x^2 - y"]))
 
 
 # -- membership by a partial run ----------------------------------------------------

@@ -13,6 +13,9 @@ Membership in an ideal with homogeneous generators advances its basis
 computation only through the degree tested; it agrees with membership
 against the complete basis, and resuming the computation redoes nothing.
 ``intersect`` in a grevlex ring hands back its result's reduced basis.
+
+For homogeneous ideals, deciding a == I ∩ J from Hilbert numerators agrees
+with comparing a to ``intersect(I, J)``.
 """
 
 import contextlib
@@ -34,6 +37,7 @@ from resint import (
     normal_form,
     order_from_tag,
     quotient,
+    verify,
 )
 from resint.poly import mon_div
 
@@ -280,3 +284,35 @@ def test_lex_intersection_caches_no_basis():
     both = intersect(Ideal(ring, ["x*y", "z"]), Ideal(ring, ["y^2"]))
     assert both._gb is None
     assert ideals_equal(both, Ideal(ring, ["x*y^2", "y^2*z"]))
+
+
+# -- a == I ∩ J from Hilbert numerators ------------------------------------------
+
+
+@st.composite
+def _intersection_cases(draw):
+    """Homogeneous I and J in 3 or 4 variables, and a: I ∩ J's generators, one
+    of them dropped, one times a variable, or a homogeneous ideal of its own."""
+    ring = draw(st.sampled_from([RING] + RINGS4))
+    I, J = (
+        Ideal(ring, draw(st.lists(_forms(ring, (1, 2, 3)), min_size=1, max_size=3)))
+        for _ in range(2)
+    )
+    gens = list(intersect(I, J).generators)
+    how = draw(st.sampled_from(["exact", "dropped", "times-variable", "other"]))
+    if how == "dropped":
+        del gens[draw(st.integers(0, len(gens) - 1))]
+    elif how == "times-variable":
+        i = draw(st.integers(0, len(gens) - 1))
+        gens[i] *= ring.var(draw(st.sampled_from(ring.variables)))
+    elif how == "other":
+        gens = draw(st.lists(_forms(ring, (2, 3, 4)), min_size=1, max_size=3))
+    return Ideal(ring, gens), I, J
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_intersection_cases())
+def test_hilbert_route_agrees_with_the_intersection(case):
+    a, I, J = case
+    assert all(g.is_homogeneous() for X in case for g in X.generators)
+    assert verify._intersection_equals({}, a, I, J) == ideals_equal(a, intersect(I, J))

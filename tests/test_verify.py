@@ -52,6 +52,31 @@ def test_geometric_link_coordinate_axes():
     assert not ok2
 
 
+def test_geometric_link_with_a_smaller_a_fails():
+    # (x^2*y) lies in (x) ∩ (y) = (x*y) but is smaller: the numerators differ.
+    R = _ring_xy()
+    ok, values = check_geometric_link(Ideal(R, ["x^2*y"]), Ideal(R, ["x"]), Ideal(R, ["y"]))
+    assert not ok
+    assert values == {"codim_I": 1, "codim_sum": 2, "intersection_equals_a": False}
+
+
+def test_geometric_link_needs_a_inside_both():
+    # (x^2) has the Hilbert function of (x) ∩ (y) = (x*y), but x^2 is not in (y).
+    R = _ring_xy()
+    ok, values = check_geometric_link(Ideal(R, ["x^2"]), Ideal(R, ["x"]), Ideal(R, ["y"]))
+    assert not ok
+    assert values["intersection_equals_a"] is False
+
+
+def test_inhomogeneous_geometric_link_intersects(monkeypatch):
+    # (x*y - x) = (x) ∩ (y - 1) is decided by intersect, the one exact route.
+    R = _ring_xy()
+    calls = _count_calls(monkeypatch, "intersect")
+    ok, values = check_geometric_link(Ideal(R, ["x*y - x"]), Ideal(R, ["x"]), Ideal(R, ["y - 1"]))
+    assert ok and values["intersection_equals_a"] is True
+    assert calls == {"intersect": 1}
+
+
 def test_link_symmetry():
     R = _ring_xy()
     a = Ideal(R, ["x*y"])
@@ -426,6 +451,16 @@ def test_e6_computes_each_distinct_fact_once(monkeypatch):
     report = run_scenario(sc)
     assert report.all_passed
     assert calls == {"quotient": 3, "codim": 6, "min_generators": 2}
+
+
+def test_e6_geometric_link_intersects_nothing(monkeypatch):
+    # a_1 = J22 ∩ J23 is decided by Hilbert numerators of bases the colon,
+    # containment and codim facts already hold.
+    sc = _bundled("e6")
+    calls = _count_calls(monkeypatch, "intersect", "ideals_equal")
+    report = run_scenario(sc)
+    assert report.all_passed
+    assert calls == {"intersect": 0, "ideals_equal": 3}
 
 
 def test_e7_containment_tests_only_what_generators_do_not_settle(monkeypatch):
