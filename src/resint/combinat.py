@@ -1,8 +1,7 @@
-"""ADE Dynkin combinatorics: the rooted walk graph, subset and spin crystals,
-Bruhat order, Pfaffian labels, and DOT export.
+"""ADE Dynkin combinatorics: the rooted walk graph, minuscule crystals with
+their Bruhat order, and DOT export.
 """
 
-import itertools
 from collections import namedtuple
 from fractions import Fraction
 
@@ -135,156 +134,95 @@ def t_constraint(g):
     return Fraction(1, g.c - 1) + Fraction(1, g.d + 1) + Fraction(1, g.t + 1) >= 1
 
 
-# -- type A subset crystal ----------------------------------------------------
+# -- minuscule crystals ---------------------------------------------------------
 
 
-def _check_operator(crystal, j):
-    if j not in crystal.operators:
-        raise CombinatError(f"operator index {j} outside [1, {len(crystal.operators)}]")
+class MinusculeCrystal:
+    """The crystal of the minuscule representation of node k: the weights,
+    as Dynkin labels (mu_1, ..., mu_r), of the Weyl orbit of omega_k.
 
-
-class TypeACrystal:
-    """All k-subsets of [1, n], Bruhat-ordered componentwise."""
-
-    def __init__(self, k, n):
-        if not 1 <= k <= n:
-            raise CombinatError(f"need 1 <= k <= n, got k={k}, n={n}")
-        self.k = k
-        self.n = n
-        self.operators = range(1, n)
-        self.elements = [
-            tuple(s) for s in itertools.combinations(range(1, n + 1), k)
-        ]
-
-    def label(self, el):
-        return "{" + ",".join(str(x) for x in el) + "}"
-
-    def _check(self, el):
-        bounds = (0, *el, self.n + 1)
-        if len(el) != self.k or not all(
-            isinstance(x, int) and lo < x for lo, x in zip(bounds, bounds[1:])
-        ):
-            raise CombinatError(f"{el!r} is not a {self.k}-subset of [1, {self.n}]")
-
-    def bruhat_leq(self, a, b):
-        self._check(a)
-        self._check(b)
-        return all(x <= y for x, y in zip(a, b))
-
-    def lowering(self, j, el):
-        """f_j: s_j when j is present and j+1 is not."""
-        nxt = self.reflect(j, el)
-        return nxt if j in el and j + 1 not in el else None
-
-    def raising(self, j, el):
-        """e_j: s_j when j+1 is present and j is not."""
-        nxt = self.reflect(j, el)
-        return nxt if j + 1 in el and j not in el else None
-
-    def reflect(self, j, el):
-        """Action of the simple transposition s_j on a subset."""
-        self._check(el)
-        _check_operator(self, j)
-        has_j, has_j1 = j in el, j + 1 in el
-        if has_j == has_j1:
-            return el
-        return tuple(sorted((j + 1 if x == j else j if x == j + 1 else x) for x in el))
-
-
-# -- type D spin crystal -------------------------------------------------------
-
-
-class SpinCrystal:
-    """Sign sequences of length n with positive product.
-
-    Lowering operators: f_j swaps (+,-) at (j, j+1) into (-,+) for j < n,
-    and f_n turns (+,+) at (n-1, n) into (-,-).  Bruhat order is generation
-    order: the all-plus sequence is the identity coset (unique bottom), and
-    each lowering step raises the length by one.
+    The step along node j is the Weyl reflection s_j(mu) = mu - mu_j alpha_j,
+    alpha_j row j of the Cartan matrix: f_j takes it where mu_j = 1 and e_j
+    where mu_j = -1.  Every label of a minuscule orbit lies in {-1, 0, 1}
+    (Green, Combinatorics of Minuscule Representations, 2013), so the
+    breadth-first search down from omega_k refuses a node whose orbit leaves
+    that range.  Bruhat order is reachability along the f_j: omega_k is the
+    unique bottom, ``elements[0]``, and the lowest weight the unique top,
+    ``elements[-1]``.
     """
 
-    def __init__(self, n):
-        if n < 4:
-            raise CombinatError("spin crystal needs n >= 4")
-        self.n = n
-        self.operators = range(1, n + 1)
-        self.elements = [
-            s
-            for s in itertools.product((1, -1), repeat=n)
-            if sum(1 for x in s if x < 0) % 2 == 0
-        ]
-        self._desc = {}
+    def __init__(self, diagram, k):
+        diagram.check_node(k)
+        self.diagram = diagram
+        self.k = k
+        self.operators = range(1, diagram.rank + 1)
+        # alpha_j is 2 at node j and -1 at each of its neighbours.
+        self._near = {j: diagram.neighbors(j) for j in self.operators}
+        top = tuple(int(i == k) for i in self.operators)
+        self.elements = [top]
+        # Each weight mu = omega_k - sum c_i alpha_i, keyed to its c: the
+        # lowering steps along each node that reach it from omega_k.
+        self._steps = {top: (0,) * diagram.rank}
+        for el in self.elements:
+            for j in self.operators:
+                if el[j - 1] != 1:
+                    continue
+                nxt = self._reflect(j, el)
+                if nxt in self._steps:
+                    continue
+                if max(nxt) > 1 or min(nxt) < -1:
+                    raise CombinatError(
+                        f"node {k} of {diagram.type}{diagram.rank} is not minuscule"
+                    )
+                steps = list(self._steps[el])
+                steps[j - 1] += 1
+                self._steps[nxt] = tuple(steps)
+                self.elements.append(nxt)
 
     def label(self, el):
-        return "".join("+" if s > 0 else "-" for s in el)
+        """The node name of `el` in a DOT file: its labels as -, 0, +."""
+        return "".join("-0+"[x + 1] for x in el)
 
     def _check(self, el):
-        if len(el) != self.n:
-            raise CombinatError("sign sequence of wrong length")
+        if el not in self._steps:
+            raise CombinatError(
+                f"{el!r} is not a weight of node {self.k} of"
+                f" {self.diagram.type}{self.diagram.rank}"
+            )
 
-    def _step(self, j, el, sign):
-        """s_j when the signs at (j, j+1) read (sign, -sign), or for j = n
-        those at (n-1, n) read (sign, sign); otherwise None."""
-        nxt = self.reflect(j, el)
-        a, b = (el[j - 1], -el[j]) if j < self.n else (el[-2], el[-1])
-        return nxt if a == b == sign else None
-
-    def lowering(self, j, el):
-        return self._step(j, el, 1)
-
-    def raising(self, j, el):
-        return self._step(j, el, -1)
-
-    def _descendants(self, el):
-        cached = self._desc.get(el)
-        if cached is not None:
-            return cached
-        out = {el}
-        for j in self.operators:
-            nxt = self.lowering(j, el)
-            if nxt is not None:
-                out |= self._descendants(nxt)
-        self._desc[el] = out
-        return out
-
-    def bruhat_leq(self, a, b):
-        """a <= b when b is reachable from a by lowering operators."""
-        self._check(a)
-        self._check(b)
-        return b in self._descendants(a)
-
-    def bottom(self):
-        return tuple(1 for _ in range(self.n))
-
-    def top(self):
-        """The one sink: all minus signs, with a final plus for odd n."""
-        return (-1,) * (self.n - 1) + (1 if self.n % 2 else -1,)
+    def _reflect(self, j, el):
+        mu = el[j - 1]
+        out = list(el)
+        out[j - 1] = -mu
+        for i in self._near[j]:
+            out[i - 1] += mu
+        return tuple(out)
 
     def reflect(self, j, el):
-        """Weyl action: s_j swaps positions (j, j+1); s_n flips both signs
-        at (n-1, n)."""
+        """The Weyl reflection s_j(mu) = mu - mu_j alpha_j."""
         self._check(el)
-        _check_operator(self, j)
-        s = list(el)
-        if j < self.n:
-            s[j - 1], s[j] = s[j], s[j - 1]
-        else:
-            s[-2], s[-1] = -s[-2], -s[-1]
-        return tuple(s)
+        if j not in self.operators:
+            raise CombinatError(f"operator index {j} outside [1, {len(self.operators)}]")
+        return self._reflect(j, el)
 
+    def lowering(self, j, el):
+        """f_j: s_j where mu_j = 1, else None."""
+        nxt = self.reflect(j, el)
+        return nxt if el[j - 1] == 1 else None
 
-def pfaffian_label(el):
-    """Positions carrying a minus sign; they index the Pfaffian."""
-    if not all(x in (1, -1) for x in el):
-        raise CombinatError("not a sign sequence")
-    return tuple(i for i, s in enumerate(el, 1) if s < 0)
+    def raising(self, j, el):
+        """e_j: s_j where mu_j = -1, else None."""
+        nxt = self.reflect(j, el)
+        return nxt if el[j - 1] == -1 else None
 
-
-def index_sequence(el, m):
-    """Grassmannian row labels: plus positions, then reflected minus positions."""
-    plus = [i for i, s in enumerate(el, 1) if s > 0]
-    minus = [i for i, s in enumerate(el, 1) if s < 0]
-    return tuple(plus + sorted(2 * m + 1 - k for k in minus))
+    def bruhat_leq(self, a, b):
+        """a <= b when b is reachable from a by lowering steps.  On a
+        minuscule orbit that holds exactly when a - b is a sum of simple
+        roots (Proctor, Europ. J. Combin. 5, 1984), so when b's steps from
+        omega_k cover a's along every node."""
+        self._check(a)
+        self._check(b)
+        return all(x <= y for x, y in zip(self._steps[a], self._steps[b]))
 
 
 # -- DOT export ----------------------------------------------------------------
@@ -313,7 +251,7 @@ def gk_to_dot(g):
 def crystal_to_dot(crystal):
     """DOT rendering of a crystal graph, edges labelled by operator index."""
     name = crystal.label
-    els = sorted(crystal.elements)
+    els = crystal.elements
     edges = []
     for el in els:
         for j in crystal.operators:

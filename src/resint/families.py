@@ -272,33 +272,48 @@ def bordered_pfaffian_ideal(A, j):
 # -- Schubert-cell ideals -----------------------------------------------------
 
 
-def schubert_ideal(ring, crystal, el, unit, coordinate):
+def typeA_label(subset, n):
+    """Dynkin label of the k-subset S of [1, n] in the crystal of node k of
+    A_{n-1}: mu_i = [i in S] - [i+1 in S]."""
+    return tuple(int(i in subset) - int(i + 1 in subset) for i in range(1, n))
+
+
+def typeD_label(signs):
+    """Dynkin label of the sign vector e in the crystal of node m of D_m:
+    mu_i = (e_i - e_{i+1})/2 for i < m, and mu_m = (e_{m-1} + e_m)/2."""
+    return tuple((a - b) // 2 for a, b in zip(signs, signs[1:])) + (sum(signs[-2:]) // 2,)
+
+
+def schubert_ideal(ring, crystal, cells, el, unit, coordinate):
     """Vanishing ideal of the cell Schubert variety at the crystal element
     `el`: the coordinates of the elements outside the Bruhat interval between
-    `el` and `unit`, the extremal element whose coordinate is 1.
+    `el` and `unit`, the extremal element whose coordinate is 1.  `cells`
+    maps each element, a Dynkin label, to the index of its coordinate, in
+    generator order, and `coordinate` takes an index to its polynomial.
 
     One rule for every type; only the coordinate and the unit differ.  In
     type A the unit is the crystal's top, the last k columns of the big-cell
-    matrix; in type D it is the spin bottom, pf of the empty set.
+    matrix; in type D it is its bottom omega_m, pf of the empty set.
     """
     leq = crystal.bruhat_leq
     lo, hi = (el, unit) if leq(el, unit) else (unit, el)
     return Ideal(
-        ring, [coordinate(x) for x in crystal.elements if not (leq(lo, x) and leq(x, hi))]
+        ring, [coordinate(x) for mu, x in cells.items() if not (leq(lo, mu) and leq(mu, hi))]
     )
 
 
 def typeD_schubert_ideal(el, crystal, A):
-    """Ideal of the cell Schubert variety at the spin element `el`: the
-    Pfaffians of all labels not Bruhat-below el."""
-    from .combinat import pfaffian_label
-
+    """Ideal of the cell Schubert variety at the element `el` of the crystal
+    of node m of D_m: the Pfaffians of the minus positions of the sign
+    vectors not Bruhat-below el."""
     if not isinstance(A, SkewMatrix):
         raise FamilyError("expected a SkewMatrix")
-    if crystal.n != A.size:
+    if crystal.diagram.rank != A.size:
         raise FamilyError("crystal rank and matrix size differ")
+    signs = (e for e in itertools.product((1, -1), repeat=A.size) if e.count(-1) % 2 == 0)
     return schubert_ideal(
-        A.ring, crystal, el, crystal.bottom(), lambda x: pfaffian(A, pfaffian_label(x))
+        A.ring, crystal, {typeD_label(e): e for e in signs}, el, crystal.elements[0],
+        lambda e: pfaffian(A, [i for i, x in enumerate(e, 1) if x < 0]),
     )
 
 
@@ -324,12 +339,14 @@ def typeA_coordinate(M, subset):
 def _typeA_schubert(k, n, w):
     """Ideal of the cell Schubert variety at the k-subset w of [1, n], on the
     k x n big-cell matrix: the p_tau with tau not componentwise >= w."""
-    from .combinat import TypeACrystal
+    from .combinat import MinusculeCrystal, dynkin
 
     M = big_cell_matrix(k, n)
-    crystal = TypeACrystal(k, n)
+    crystal = MinusculeCrystal(dynkin("A", n - 1), k)
+    subsets = itertools.combinations(range(1, n + 1), k)
     return schubert_ideal(
-        M.ring, crystal, w, crystal.elements[-1], lambda tau: typeA_coordinate(M, tau)
+        M.ring, crystal, {typeA_label(S, n): S for S in subsets}, typeA_label(w, n),
+        crystal.elements[-1], lambda tau: typeA_coordinate(M, tau),
     )
 
 

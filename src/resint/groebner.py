@@ -33,6 +33,7 @@ reverse-lex property, in a ring entered by ``Packer.lift_last`` and left by
 
 import contextvars
 import heapq
+from itertools import accumulate
 from math import gcd, inf
 
 from .parser import parse_poly
@@ -783,52 +784,22 @@ def quotient(a, b):
     return result if twin is ring else Ideal(ring, _moved(result.generators, ring))
 
 
-def _minimal_supports(lms):
-    sups = {frozenset(i for i, e in enumerate(m) if e) for m in lms}
-    sups.discard(frozenset())
-    out = []
-    for s in sorted(sups, key=len):
-        if not any(t <= s for t in out):
-            out.append(s)
-    return out
-
-
-def _min_hitting_set(supports):
-    best = [len(supports)]
-
-    def lower_bound(remaining):
-        count = 0
-        used = set()
-        for s in remaining:
-            if not (s & used):
-                count += 1
-                used |= s
-        return count
-
-    def rec(remaining, size):
-        if not remaining:
-            best[0] = min(best[0], size)
-            return
-        if size + lower_bound(remaining) >= best[0]:
-            return
-        pivot = min(remaining, key=len)
-        for v in sorted(pivot):
-            rec([s for s in remaining if v not in s], size + 1)
-
-    rec(supports, 0)
-    return best[0]
-
-
 def dimension(ideal):
-    """Krull dimension of R/I via independent sets of the leading-term ideal."""
+    """Krull dimension of R/I: n minus the order of t = 1 as a root of the
+    Hilbert numerator of in(I).  R/I and R/in(I) have the same dimension in
+    every monomial order, and in(I) is a monomial ideal, homogeneous whatever
+    I is, so no generator need be (Bayer and Stillman, J. Symb. Comp. 14,
+    1992)."""
     gb = groebner_basis(ideal)
     if gb.is_unit:
         raise UnitIdealError("the unit ideal has no dimension")
-    n = ideal.ring.arity
-    if not gb.elements:
-        return n
-    supports = _minimal_supports(gb.leading_monomials())
-    return n - _min_hitting_set(supports)
+    coeffs = _leading_numerator(gb)
+    order = 0
+    while not sum(coeffs):
+        # K(1) = 0, so K / (1 - t) is the polynomial of K's partial sums.
+        coeffs = list(accumulate(coeffs))[:-1]
+        order += 1
+    return ideal.ring.arity - order
 
 
 def codim(ideal):
@@ -918,8 +889,13 @@ def hilbert_numerator(ideal):
     for g in ideal.generators:
         if not g.is_homogeneous():
             raise NonHomogeneousError(f"nonhomogeneous generator {g}")
-    elements = groebner_basis(ideal).elements
-    pk = ideal.ring.packer(max([p._packer.width for p in elements], default=FIELD_WIDTHS[0]))
+    return _leading_numerator(groebner_basis(ideal))
+
+
+def _leading_numerator(gb):
+    """K(t) of the monomial ideal of the leading monomials of `gb`."""
+    elements = gb.elements
+    pk = gb.ring.packer(max([p._packer.width for p in elements], default=FIELD_WIDTHS[0]))
     low = (1 << pk.width * (pk.n + 1)) - 1  # the exponent and degree fields
     leads = [
         (p._keys[0] if p._packer is pk else pk.enc(p._packer.dec(p._keys[0]))) & low

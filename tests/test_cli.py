@@ -378,18 +378,18 @@ def test_graph_gk_dot(tmp_path):
 
 
 def test_graph_crystal_counts(capsys):
-    from resint.combinat import SpinCrystal, TypeACrystal, crystal_to_dot
+    from resint.combinat import MinusculeCrystal, crystal_to_dot, dynkin
 
-    assert main(["graph", "crystal", "A", "5", "2"]) == 0
-    out = capsys.readouterr().out
-    nodes = [l for l in out.splitlines() if "label=" in l and "->" not in l]
-    assert len(nodes) == 15
-    assert out == crystal_to_dot(TypeACrystal(2, 6))
-    assert main(["graph", "crystal", "D", "5", "5"]) == 0
-    out = capsys.readouterr().out
-    nodes = [l for l in out.splitlines() if "label=" in l and "->" not in l]
-    assert len(nodes) == 16
-    assert out == crystal_to_dot(SpinCrystal(5))
+    for argv, count in [
+        (["A", "5", "2"], 15), (["D", "5", "5"], 16), (["D", "5", "1"], 10),
+        (["E", "6", "1"], 27), (["E", "7", "7"], 56),
+    ]:
+        assert main(["graph", "crystal", *argv]) == 0
+        out = capsys.readouterr().out
+        nodes = [l for l in out.splitlines() if "label=" in l and "->" not in l]
+        assert len(nodes) == count
+        crystal = MinusculeCrystal(dynkin(argv[0], int(argv[1])), int(argv[2]))
+        assert out == crystal_to_dot(crystal)
 
 
 def test_graph_invalid_parameters(capsys):
@@ -416,11 +416,11 @@ def test_graph_checks_type_rank_and_node(capsys, kind, argv, message):
 
 
 def test_graph_errors_exit_two(tmp_path, capsys):
-    assert main(["graph", "crystal", "E", "6", "1"]) == 2
-    assert "crystal export covers types A and D" in capsys.readouterr().err
-    # The type D crystal is the one of the spin node, the last.
-    assert main(["graph", "crystal", "D", "5", "4"]) == 2
-    assert "the spin crystal of node 5, got node 4" in capsys.readouterr().err
+    # A crystal exists for the minuscule nodes only.
+    assert main(["graph", "crystal", "E", "8", "8"]) == 2
+    assert capsys.readouterr() == ("", "error: node 8 of E8 is not minuscule\n")
+    assert main(["graph", "crystal", "D", "5", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: node 2 of D5 is not minuscule\n")
     # The output path is a directory, so the DOT file cannot be written.
     assert main(["graph", "gk", "E", "6", "6", "--dot", str(tmp_path)]) == 2
     captured = capsys.readouterr()

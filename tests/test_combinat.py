@@ -1,6 +1,7 @@
 """Dynkin walks, crystals, Bruhat order, and DOT export."""
 
 import itertools
+import math
 
 import pytest
 
@@ -8,24 +9,30 @@ from resint import ideals_equal
 from resint.combinat import (
     CombinatError,
     DynkinDiagram,
-    SpinCrystal,
-    TypeACrystal,
+    MinusculeCrystal,
     build_gk,
     crystal_to_dot,
     dynkin,
     gk_to_dot,
-    index_sequence,
-    pfaffian_label,
     t_constraint,
 )
 from resint.families import (
     FamilyError,
     generic_skew,
     pfaffian_ideal_containing,
+    typeA_label,
     typeA_left_subset,
     typeA_right_subset,
+    typeD_label,
     typeD_schubert_ideal,
 )
+
+
+def _apply_word(crystal, word, el):
+    """The Weyl word acting on el: its last letter acts first."""
+    for j in reversed(word):
+        el = crystal.reflect(j, el)
+    return el
 
 
 # -- Dynkin diagrams -----------------------------------------------------------
@@ -72,17 +79,10 @@ def test_build_gk_type_a_coordinates():
     assert words["p3"] == (3, 2)
     assert words["p1"] == (1, 2)
     # acting on the base subset {1, 2} reproduces the cell coordinates
-    crystal = TypeACrystal(2, 6)
-    base = (1, 2)
-    def act(word):
-        el = base
-        for j in reversed(word):
-            el = crystal.reflect(j, el)
-        return el
-    assert act(words["p0"]) == (1, 2)
-    assert act(words["p2"]) == (1, 3)
-    assert act(words["p1"]) == (2, 3)
-    assert act(words["p3"]) == (1, 4)
+    crystal = MinusculeCrystal(dynkin("A", 5), 2)
+    for name, subset in [("p0", (1, 2)), ("p2", (1, 3)), ("p1", (2, 3)), ("p3", (1, 4))]:
+        el = _apply_word(crystal, words[name], crystal.elements[0])
+        assert el == typeA_label(subset, 6), name
 
 
 def test_build_gk_edge_count_invariant():
@@ -117,17 +117,11 @@ def test_build_gk_rejects_diagrams_that_are_not_t_shaped():
 
 def test_walk_chain_totally_ordered_in_bruhat():
     g = build_gk(dynkin("A", 5), 2)
-    crystal = TypeACrystal(2, 6)
-    base = (1, 2)
-    def act(word):
-        el = base
-        for j in reversed(word):
-            el = crystal.reflect(j, el)
-        return el
+    crystal = MinusculeCrystal(dynkin("A", 5), 2)
     for arm in ("y_arm", "z_arm"):
         chain = [()]
         chain += [n.word for n in g.nodes if n.dynkin in (g.u, *getattr(g, arm))]
-        els = [act(w) for w in chain]
+        els = [_apply_word(crystal, w, crystal.elements[0]) for w in chain]
         for a, b in zip(els, els[1:]):
             assert crystal.bruhat_leq(a, b)
 
@@ -135,24 +129,32 @@ def test_walk_chain_totally_ordered_in_bruhat():
 # -- type A crystal -----------------------------------------------------------------
 
 
+def _typeA(k, n):
+    """The crystal of the k-subsets of [1, n]: node k of A_{n-1}."""
+    return MinusculeCrystal(dynkin("A", n - 1), k)
+
+
 def test_typeA_cardinalities():
     for n in range(2, 9):
-        for k in range(1, n + 1):
-            c = TypeACrystal(k, n)
-            import math
-
-            assert len(c.elements) == math.comb(n, k)
+        for k in range(1, n):
+            assert len(_typeA(k, n).elements) == math.comb(n, k)
 
 
 def test_typeA_bruhat_examples():
-    c = TypeACrystal(2, 6)
-    assert c.bruhat_leq((1, 3), (2, 5))
-    assert not c.bruhat_leq((1, 4), (2, 3))
+    # Reachability is the componentwise order of the sorted subsets.
+    for k, n in [(1, 4), (2, 5), (2, 6), (3, 6), (3, 7)]:
+        c = _typeA(k, n)
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        assert sorted(c.elements) == sorted(typeA_label(S, n) for S in subsets)
+        for S in subsets:
+            for T in subsets:
+                below = all(x <= y for x, y in zip(S, T))
+                assert c.bruhat_leq(typeA_label(S, n), typeA_label(T, n)) == below, (S, T)
 
 
 def test_typeA_operators_partial_inverse():
     for (k, n) in [(2, 4), (2, 5), (3, 6)]:
-        c = TypeACrystal(k, n)
+        c = _typeA(k, n)
         for el in c.elements:
             for j in range(1, n):
                 down = c.lowering(j, el)
@@ -166,36 +168,96 @@ def test_typeA_operators_partial_inverse():
 def test_typeA_operator_values():
     # Exact values, so that a step that is wrong the same way in both
     # directions still fails.
-    c = TypeACrystal(2, 5)
-    assert c.lowering(2, (1, 2)) == (1, 3)
-    assert c.lowering(1, (1, 2)) is None
-    assert c.raising(2, (1, 3)) == (1, 2)
+    c = _typeA(2, 5)
+    def lab(S):
+        return typeA_label(S, 5)
+    assert c.lowering(2, lab((1, 2))) == lab((1, 3))
+    assert c.lowering(1, lab((1, 2))) is None
+    assert c.raising(2, lab((1, 3))) == lab((1, 2))
 
 
-# -- spin crystal -------------------------------------------------------------------
+# -- minuscule crystals -------------------------------------------------------------
+
+
+def _spin(m):
+    """The crystal of the sign vectors with an even number of minus signs:
+    node m of D_m."""
+    return MinusculeCrystal(dynkin("D", m), m)
 
 
 def test_spin_cardinalities():
-    for n in range(4, 9):
-        assert len(SpinCrystal(n).elements) == 2 ** (n - 1)
+    for m in range(4, 9):
+        assert len(_spin(m).elements) == 2 ** (m - 1)
+
+
+def test_minuscule_cardinalities():
+    for m in range(4, 9):
+        assert len(MinusculeCrystal(dynkin("D", m), m - 1).elements) == 2 ** (m - 1)
+        assert len(MinusculeCrystal(dynkin("D", m), 1).elements) == 2 * m
+    for rank, k, size in [(6, 1, 27), (6, 6, 27), (7, 7, 56)]:
+        c = MinusculeCrystal(dynkin("E", rank), k)
+        assert len(c.elements) == size
+        assert c.elements[0] == tuple(int(i == k) for i in c.operators)
+
+
+@pytest.mark.parametrize(
+    "type, rank, k", [("E", 8, 8), ("E", 8, 4), ("E", 7, 1), ("E", 6, 2), ("D", 5, 2)]
+)
+def test_non_minuscule_node_refused(type, rank, k):
+    with pytest.raises(CombinatError, match=f"node {k} of {type}{rank} is not minuscule"):
+        MinusculeCrystal(dynkin(type, rank), k)
+
+
+_BUILT = [("A", 4, 2), ("A", 5, 3), ("A", 7, 4), ("A", 3, 1)]
+_BUILT += [("D", m, k) for m in (4, 5, 6, 7) for k in (1, m - 1, m)]
+_BUILT += [("E", 6, 1), ("E", 6, 6), ("E", 7, 7)]
+
+
+@pytest.mark.parametrize("type, rank, k", _BUILT)
+def test_reflect_is_the_simple_reflection(type, rank, k):
+    # s_j(mu) = mu - mu_j alpha_j with alpha_j the Cartan row of node j, so
+    # s_j fixes every element with mu_j = 0; a spin step that flipped the
+    # last two signs moved the sign vectors whose last two signs differ.
+    d = dynkin(type, rank)
+    c = MinusculeCrystal(d, k)
+    for j in c.operators:
+        alpha = [2 if i == j else -1 if tuple(sorted((i, j))) in d.edges else 0
+                 for i in range(1, rank + 1)]
+        for mu in c.elements:
+            image = c.reflect(j, mu)
+            assert image == tuple(x - mu[j - 1] * a for x, a in zip(mu, alpha))
+            if mu[j - 1] == 0:
+                assert image == mu
+
+
+@pytest.mark.parametrize("type, rank, k", _BUILT)
+def test_bruhat_is_reachability(type, rank, k):
+    c = MinusculeCrystal(dynkin(type, rank), k)
+    for a in c.elements:
+        reached, todo = {a}, [a]
+        while todo:
+            el = todo.pop()
+            for j in c.operators:
+                nxt = c.lowering(j, el)
+                if nxt is not None and nxt not in reached:
+                    reached.add(nxt)
+                    todo.append(nxt)
+        assert {b for b in c.elements if c.bruhat_leq(a, b)} == reached
 
 
 def test_spin_operator_examples():
-    s = SpinCrystal(5)
-    assert s.lowering(1, (1, -1, 1, 1, -1)) == (-1, 1, 1, 1, -1)
-    assert s.lowering(1, (-1, 1, 1, 1, -1)) is None
-    assert s.lowering(5, (1, 1, 1, 1, 1)) == (1, 1, 1, -1, -1)
-    assert s.raising(5, (1, 1, 1, -1, -1)) == (1, 1, 1, 1, 1)
+    s = _spin(5)
+    assert s.lowering(1, typeD_label((1, -1, 1, 1, -1))) == typeD_label((-1, 1, 1, 1, -1))
+    assert s.lowering(1, typeD_label((-1, 1, 1, 1, -1))) is None
+    assert s.lowering(5, typeD_label((1, 1, 1, 1, 1))) == typeD_label((1, 1, 1, -1, -1))
+    assert s.raising(5, typeD_label((1, 1, 1, -1, -1))) == typeD_label((1, 1, 1, 1, 1))
 
 
 # Both crystals, every step, j = 0 and j = max + 1; ids are "<op>-<j>" for
-# SpinCrystal(5) and "typeA-<op>-<j>" for TypeACrystal(2, 5).
+# the spin crystal of D5 and "typeA-<op>-<j>" for the 2-subsets of [1, 5].
 _OUTSIDE_RANGE = [
-    pytest.param(crystal, el, op, j, top, id=f"{prefix}{op}-{j}")
-    for prefix, crystal, el, top in [
-        ("", SpinCrystal(5), (1, 1, 1, 1, 1), 5),
-        ("typeA-", TypeACrystal(2, 5), (1, 5), 4),
-    ]
+    pytest.param(crystal, crystal.elements[0], op, j, top, id=f"{prefix}{op}-{j}")
+    for prefix, crystal, top in [("", _spin(5), 5), ("typeA-", _typeA(2, 5), 4)]
     for op in ("lowering", "raising", "reflect")
     for j in (0, top + 1)
 ]
@@ -210,70 +272,74 @@ def test_spin_operator_index_outside_range(crystal, el, op, j, top):
 @pytest.mark.parametrize(
     "op, j, el",
     [
-        ("lowering", 4, (4, 9)),
-        ("reflect", 1, (1,)),
-        ("raising", 2, (3, 3)),
-        ("lowering", 1, (2, 1)),
-        ("bruhat_leq", (1, 2), (0, 2)),
+        ("lowering", 4, (0, 1, 0, 0, 0)),
+        ("reflect", 1, (0, 1, 0)),
+        ("raising", 2, (0, 1, 1, 0)),
+        ("lowering", 1, (1, 0, 0, 1)),
+        ("bruhat_leq", (0, 1, 0, 0), (0, 0, 0, 0)),
     ],
     ids=["lowering-past-n", "reflect-short", "raising-repeated", "lowering-unsorted", "bruhat-zero"],
 )
 def test_typeA_element_outside_the_crystal(op, j, el):
-    # Each is no 2-subset of [1, 5], so no step or comparison may take it.
-    with pytest.raises(CombinatError, match=r"is not a 2-subset of \[1, 5\]"):
-        getattr(TypeACrystal(2, 5), op)(j, el)
+    # None is a weight of the 2-subsets of [1, 5]: a label past the rank, a
+    # short one, a repeated +1, nonzero labels that do not alternate in sign,
+    # and the zero weight; so no step or comparison may take it.
+    with pytest.raises(CombinatError, match="is not a weight of node 2 of A4"):
+        getattr(_typeA(2, 5), op)(j, el)
 
 
 def test_crystal_operator_ranges_and_labels():
-    a, s = TypeACrystal(2, 5), SpinCrystal(5)
+    a, s = _typeA(2, 5), _spin(5)
     assert a.operators == range(1, 5)
     assert s.operators == range(1, 6)
-    assert a.label((1, 5)) == "{1,5}"
-    assert s.label((1, -1, 1, 1, -1)) == "+-++-"
+    assert a.label(typeA_label((1, 5), 5)) == "+00-"
+    assert s.label(typeD_label((1, -1, 1, 1, -1))) == "+-0+0"
 
 
 def test_spin_top_values():
-    # The sink of the lowering operators, as the exhaustive search found it.
-    tops = {
-        4: "----", 5: "----+", 6: "------", 7: "------+", 8: "--------",
-        9: "--------+", 10: "----------", 11: "----------+", 12: "------------",
-    }
-    for n, top in tops.items():
-        s = SpinCrystal(n)
-        assert s.label(s.top()) == top
-        assert all(s.lowering(j, s.top()) is None for j in s.operators)
+    # The lowest weight is -omega_m for even m and -omega_{m-1} for odd m,
+    # the label of the sign vector of all minus signs, with a final plus
+    # for odd m; no lowering step leaves it.
+    for m in range(4, 13):
+        s = _spin(m)
+        top = s.elements[-1]
+        node = m if m % 2 == 0 else m - 1
+        assert top == tuple(-int(i == node) for i in s.operators)
+        assert top == typeD_label((-1,) * (m - 1) + (1 if m % 2 else -1,))
+        assert all(s.lowering(j, top) is None for j in s.operators)
 
 
 def test_spin_partial_inverse_exhaustive():
-    for n in range(4, 8):
-        s = SpinCrystal(n)
-        for el in s.elements:
-            for j in range(1, n + 1):
-                down = s.lowering(j, el)
+    for type, rank, k in _BUILT:
+        c = MinusculeCrystal(dynkin(type, rank), k)
+        for el in c.elements:
+            for j in c.operators:
+                down = c.lowering(j, el)
                 if down is not None:
-                    assert s.raising(j, down) == el
-                up = s.raising(j, el)
+                    assert c.raising(j, down) == el
+                up = c.raising(j, el)
                 if up is not None:
-                    assert s.lowering(j, up) == el
+                    assert c.lowering(j, up) == el
 
 
 def test_spin_minus_count_parity():
-    s = SpinCrystal(6)
+    # Through the type D label map a lowering step swaps a (+, -) pair or
+    # turns the last two plus signs into minus signs.
+    s = _spin(6)
+    signs = {typeD_label(e): e for e in itertools.product((1, -1), repeat=6)}
     for el in s.elements:
-        minuses = sum(1 for x in el if x < 0)
-        for j in range(1, 7):
+        minuses = signs[el].count(-1)
+        assert minuses % 2 == 0
+        for j in s.operators:
             down = s.lowering(j, el)
-            if down is None:
-                continue
-            after = sum(1 for x in down if x < 0)
-            assert after - minuses in (0, 2)
-            assert after % 2 == 0
+            if down is not None:
+                assert signs[down].count(-1) - minuses == (2 if j == 6 else 0)
 
 
 def test_spin_bruhat_partial_order():
-    s = SpinCrystal(5)
+    s = _spin(5)
     els = s.elements
-    bottom, top = s.bottom(), s.top()
+    bottom, top = els[0], els[-1]
     for a in els:
         assert s.bruhat_leq(bottom, a)
         assert s.bruhat_leq(a, top)
@@ -287,53 +353,46 @@ def test_spin_bruhat_partial_order():
 
 
 def test_pfaffian_labels():
-    assert pfaffian_label((1, 1, 1, 1)) == ()
-    assert pfaffian_label((-1, -1, 1, 1)) == (1, 2)
-    assert pfaffian_label((-1, -1, -1, -1)) == (1, 2, 3, 4)
-    with pytest.raises(CombinatError, match="not a sign sequence"):
-        pfaffian_label((1, 0, -1))
+    # The type D label map takes the sign vector of a Pfaffian's index set
+    # (minus on the set) to its Dynkin label; pf of the empty set is omega_m.
+    assert typeD_label((1, 1, 1, 1)) == (0, 0, 0, 1)
+    assert typeD_label((-1, -1, 1, 1)) == (0, -1, 0, 1)
+    assert typeD_label((-1, -1, -1, -1)) == (0, 0, 0, -1)
+    assert typeD_label((1, 1, 1, -1, -1)) == (0, 0, 1, 0, -1)
 
 
-def test_index_sequence():
-    # plus positions ascending, then reflected minus positions
-    assert index_sequence((1, -1, -1, 1, 1), 5) == (1, 4, 5, 8, 9)
-    el = (1, 1, 1, 1, 1)
-    assert index_sequence(el, 5) == (1, 2, 3, 4, 5)
+def test_typeA_labels():
+    assert typeA_label((1, 2), 6) == (0, 1, 0, 0, 0)
+    assert typeA_label((5, 6), 6) == (0, 0, 0, -1, 0)
+    assert typeA_label((1, 3, 6), 6) == (1, -1, 1, 0, -1)
 
 
 def test_schubert_ideal_extremes():
-    s = SpinCrystal(5)
+    s = _spin(5)
     A = generic_skew(5)
-    assert len(typeD_schubert_ideal(s.top(), s, A).generators) == 0
-    bottom_ideal = typeD_schubert_ideal(s.bottom(), s, A)
+    assert len(typeD_schubert_ideal(s.elements[-1], s, A).generators) == 0
+    bottom_ideal = typeD_schubert_ideal(s.elements[0], s, A)
     assert len(bottom_ideal.generators) == 15
 
 
 def test_schubert_ideal_single_plus_is_containing_ideal():
-    s = SpinCrystal(5)
+    s = _spin(5)
     A = generic_skew(5)
     for j in (3, 4):
-        el = tuple(1 if pos == 5 - j else -1 for pos in range(1, 6))
+        el = typeD_label(tuple(1 if pos == 5 - j else -1 for pos in range(1, 6)))
         assert ideals_equal(
             typeD_schubert_ideal(el, s, A), pfaffian_ideal_containing(A, j)
         )
 
 
 def test_schubert_ideal_rank_mismatch():
-    s = SpinCrystal(4)
+    s = _spin(4)
     A = generic_skew(5)
     with pytest.raises(FamilyError, match="crystal rank and matrix size differ"):
-        typeD_schubert_ideal((1, 1, 1, 1), s, A)
+        typeD_schubert_ideal(s.elements[0], s, A)
 
 
 # -- the walk graph reads off the families ------------------------------------
-
-
-def _apply_word(crystal, word, el):
-    """The Weyl word acting on el: its last letter acts first."""
-    for j in reversed(word):
-        el = crystal.reflect(j, el)
-    return el
 
 
 @pytest.mark.parametrize("n", range(4, 11))
@@ -344,26 +403,31 @@ def test_typeA_walk_words_reach_the_arm_subsets(n):
     # rule, whichever of them is the longer y arm.
     for k in range(2, n - 1):
         g = build_gk(dynkin("A", n - 1), k)
-        crystal = TypeACrystal(k, n)
+        crystal = _typeA(k, n)
         words = {node.dynkin: node.word for node in g.nodes}
         for arm in (g.y_arm, g.z_arm):
             rule = typeA_left_subset if arm[0] == k + 1 else typeA_right_subset
             path = [()] + [words[v] for v in (g.u, *arm)]
             reached = [_apply_word(crystal, w, crystal.elements[0]) for w in path]
-            assert reached == [rule(k, s) for s in range(len(path))], (k, arm)
+            assert reached == [typeA_label(rule(k, s), n) for s in range(len(path))], (k, arm)
 
 
 @pytest.mark.parametrize("m", [5, 7])
 def test_typeD_walk_words_reach_the_containing_pfaffians(m):
-    # Node v of the y arm of D_m, applied to the spin top, is the element
-    # whose Schubert ideal is generated by the Pfaffians containing [1, v].
+    # Node v of the y arm of D_m, applied to the lowest weight, is the
+    # element whose Schubert ideal is generated by the Pfaffians containing
+    # [1, v].  For odd m the longest element w_0 is not -1: it acts on the
+    # diagram by swapping nodes m-1 and m, so each word is read through that
+    # swap first.
     g = build_gk(dynkin("D", m), m)
-    s = SpinCrystal(m)
+    s = _spin(m)
     A = generic_skew(m)
+    swap = {m - 1: m, m: m - 1} if m % 2 else {}
     arm_nodes = [node for node in g.nodes if node.dynkin in g.y_arm]
     assert [node.dynkin for node in arm_nodes] == list(g.y_arm) == list(range(m - 3, 0, -1))
     for node in arm_nodes:
-        el = _apply_word(s, node.word, s.top())
+        word = tuple(swap.get(j, j) for j in node.word)
+        el = _apply_word(s, word, s.elements[-1])
         ideal = typeD_schubert_ideal(el, s, A)
         expected = pfaffian_ideal_containing(A, m - node.dynkin)
         assert set(ideal.generators) == set(expected.generators), node
@@ -383,10 +447,8 @@ def test_gk_dot_counts_and_determinism():
 
 
 def test_crystal_dot_counts():
-    dot = crystal_to_dot(SpinCrystal(4))
-    node_lines = [l for l in dot.splitlines() if "label=" in l and "->" not in l]
-    assert len(node_lines) == 8
-    dot_a = crystal_to_dot(TypeACrystal(2, 6))
-    node_lines = [l for l in dot_a.splitlines() if "label=" in l and "->" not in l]
-    assert len(node_lines) == 15
-    assert crystal_to_dot(SpinCrystal(4)) == dot
+    for crystal, count in [(_spin(4), 8), (_typeA(2, 6), 15), (MinusculeCrystal(dynkin("E", 6), 1), 27)]:
+        dot = crystal_to_dot(crystal)
+        node_lines = [l for l in dot.splitlines() if "label=" in l and "->" not in l]
+        assert len(node_lines) == count
+    assert crystal_to_dot(_spin(4)) == crystal_to_dot(_spin(4))

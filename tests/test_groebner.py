@@ -8,9 +8,11 @@ independent combinatorial oracle on monomial ideals.
 import contextvars
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resint import (
     BudgetExceededError,
@@ -24,6 +26,7 @@ from resint import (
     UnitIdealError,
     ZeroIdealDivisorError,
     codim,
+    dimension,
     groebner_basis,
     hilbert_numerator,
     ideals_equal,
@@ -724,6 +727,37 @@ def test_codim_monotone_under_inclusion():
         if groebner_basis(I).is_unit or groebner_basis(J).is_unit:
             continue
         assert codim(I) <= codim(J)
+
+
+@st.composite
+def _monomial_ideals(draw):
+    """An order tag, an arity of at most 6 and up to 6 exponent vectors."""
+    n = draw(st.integers(1, 6))
+    tag = draw(st.sampled_from(["lex", "grevlex", "block:1"] if n > 1 else ["lex", "grevlex"]))
+    mons = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6))
+    return tag, n, mons
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_monomial_ideals())
+def test_dimension_of_a_monomial_ideal_is_its_largest_free_variable_set(case):
+    # A monomial ideal's dimension is the size of the largest set of
+    # variables that holds no generator's support.
+    tag, n, mons = case
+    R = Ring([f"v{i}" for i in range(n)], order_from_tag(tag))
+    I = Ideal(R, [Polynomial(R, {m: 1}) for m in mons])
+    supports = [{i for i, e in enumerate(m) if e} for m in mons]
+    if set() in supports:
+        with pytest.raises(UnitIdealError):
+            dimension(I)
+        return
+    free = [
+        size
+        for size in range(n + 1)
+        for S in combinations(range(n), size)
+        if not any(sup <= set(S) for sup in supports)
+    ]
+    assert dimension(I) == max(free)
 
 
 def test_codim_stable_across_orders():
