@@ -453,14 +453,17 @@ def _reduce_basis(G, pk, state):
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic elements, ascending leading monomials."""
+    """Reduced Groebner basis: monic elements, ascending leading monomials.
+    It keeps what is derived from its elements: the engine polynomials per
+    width and the Hilbert numerator of its leading monomials."""
 
-    __slots__ = ("ring", "elements", "_engine")
+    __slots__ = ("ring", "elements", "_engine", "_numerator")
 
     def __init__(self, ring, elements):
         self.ring = ring
         self.elements = tuple(elements)
         self._engine = {}
+        self._numerator = None
 
     @property
     def order(self):
@@ -473,6 +476,21 @@ class GroebnerBasis:
             pk = self.ring.packer(width)
             engine = self._engine[width] = [_epoly(p, pk) for p in self.elements]
         return engine
+
+    def leading_numerator(self):
+        """K(t) of the monomial ideal of the leading monomials, computed once."""
+        numerator = self._numerator
+        if numerator is None:
+            elements = self.elements
+            width = max([p._packer.width for p in elements], default=FIELD_WIDTHS[0])
+            pk = self.ring.packer(width)
+            low = (1 << pk.width * (pk.n + 1)) - 1  # the exponent and degree fields
+            leads = [
+                (p._keys[0] if p._packer is pk else pk.enc(p._packer.dec(p._keys[0]))) & low
+                for p in elements
+            ]
+            numerator = self._numerator = _monomial_numerator(leads, pk)
+        return numerator
 
     @property
     def is_unit(self):
@@ -793,7 +811,7 @@ def dimension(ideal):
     gb = groebner_basis(ideal)
     if gb.is_unit:
         raise UnitIdealError("the unit ideal has no dimension")
-    coeffs = _leading_numerator(gb)
+    coeffs = gb.leading_numerator()
     order = 0
     while not sum(coeffs):
         # K(1) = 0, so K / (1 - t) is the polynomial of K's partial sums.
@@ -889,19 +907,7 @@ def hilbert_numerator(ideal):
     for g in ideal.generators:
         if not g.is_homogeneous():
             raise NonHomogeneousError(f"nonhomogeneous generator {g}")
-    return _leading_numerator(groebner_basis(ideal))
-
-
-def _leading_numerator(gb):
-    """K(t) of the monomial ideal of the leading monomials of `gb`."""
-    elements = gb.elements
-    pk = gb.ring.packer(max([p._packer.width for p in elements], default=FIELD_WIDTHS[0]))
-    low = (1 << pk.width * (pk.n + 1)) - 1  # the exponent and degree fields
-    leads = [
-        (p._keys[0] if p._packer is pk else pk.enc(p._packer.dec(p._keys[0]))) & low
-        for p in elements
-    ]
-    return _monomial_numerator(leads, pk)
+    return groebner_basis(ideal).leading_numerator()
 
 
 def s_polynomial(f, g):

@@ -15,11 +15,30 @@ ParseError at its position.  NUMBER extends INT with an optional '/INT'
 denominator so that printed monic Groebner elements round-trip.
 Parentheses nest at most ``NESTING_LIMIT`` (100) deep; a deeper '(' is a
 ParseError at its position, not a RecursionError.
+
+A term of numbers and variable powers is read in one loop into a packed
+key of the ring's packer, the sum of ``units[i] * e`` over its powers
+(``Packer.enc`` is linear), and the terms of a sum are added up in one
+dict {key: coefficient} and stored as one Polynomial: no exponent tuple is
+built.  Only a parenthesised factor goes through ``Polynomial`` arithmetic.
+The parse runs at 8 bits, and again at 16 from the start when a term of
+nonzero coefficient reaches degree 128, as the engine widens a basis
+computation; ``Polynomial`` stores the result at the width its degree
+needs.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .poly import NAME, Polynomial, PolyError, UnknownVariableError, _width_for
+from .poly import (
+    DEGREE_LIMIT,
+    FIELD_WIDTHS,
+    NAME,
+    Polynomial,
+    PolyError,
+    UnknownVariableError,
+    _width_for,
+)
 
 
 class ParseError(PolyError):
@@ -78,135 +97,161 @@ def _int(tok):
         raise ParseError(f"integer of {len(text)} digits is too long", at) from None
 
 
+def _expected(kind, tok):
+    return ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+
+
+class _Widen(Exception):
+    """A term reached the degree limit of the parse's packer."""
+
+
 class _Parser:
-    def __init__(self, source, ring):
-        self.tokens = _tokenize(source)
+    def __init__(self, tokens, ring, width):
+        self.tokens = tokens
         self.pos = 0
         self.ring = ring
+        self.pk = ring.packer(width)
         self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
 
     def parse(self):
         p = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
+        kind, text, at = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing {text!r}", at)
         return p
 
     def expr(self):
-        """A sum.  Its monomial terms are summed in one dict and built into
-        one Polynomial, so a flat sum takes linear time; only a term with a
-        parenthesised factor is added as a Polynomial."""
+        """A sum.  Its monomial terms are summed in one dict of packed keys
+        and built into one Polynomial, so a flat sum takes linear time; only
+        a term with a parenthesised factor is added as a Polynomial."""
+        tokens = self.tokens
         sign = 1
-        if self.peek()[0] in ("+", "-"):
-            if self.advance()[0] == "-":
-                sign = -1
-        monomials = {}
+        kind = tokens[self.pos][0]
+        if kind == "-" or kind == "+":
+            self.pos += 1
+            sign = -1 if kind == "-" else 1
+        acc = {}
         rest = None
         while True:
             t = self.term()
-            if isinstance(t, Polynomial):
-                t = t if sign > 0 else -t
-                rest = t if rest is None else rest + t
+            if t.__class__ is tuple:
+                key, c = t
+                acc[key] = acc.get(key, 0) + (c if sign > 0 else -c)
             else:
-                m, c = t
-                monomials[m] = monomials.get(m, 0) + sign * c
-            if self.peek()[0] not in ("+", "-"):
+                if sign < 0:
+                    t = -t
+                rest = t if rest is None else rest + t
+            kind = tokens[self.pos][0]
+            if kind == "+":
+                sign = 1
+            elif kind == "-":
+                sign = -1
+            else:
                 break
-            sign = 1 if self.advance()[0] == "+" else -1
-        p = Polynomial(self.ring, monomials)
+            self.pos += 1
+        p = self._sum(acc)
         return p if rest is None else p + rest
 
+    def _sum(self, acc):
+        """The Polynomial of {packed key: coefficient}."""
+        keys = sorted([k for k, c in acc.items() if c], reverse=True)
+        nums = [acc[k] for k in keys]
+        den = lcm(*[c.denominator for c in nums])
+        nums = [c.numerator * (den // c.denominator) for c in nums]
+        return Polynomial._stored(self.ring, keys, nums, den, self.pk)
+
     def term(self):
-        """A product: (exponent tuple, coefficient) while its factors are
-        numbers and variable powers, and a Polynomial from its first
-        parenthesised factor on.  A degree is refused where the product of
+        """A product, read one factor at a time.  While its factors are
+        numbers and variable powers it is (packed key, coefficient): each
+        power e of variable i adds ``units[i] * e`` to the key.  From its
+        first parenthesised factor on it is a Polynomial, and each further
+        factor multiplies it.  A degree is refused where the product of
         Polynomials would refuse it: not once the coefficient is zero."""
-        exps = [0] * self.ring.arity
-        coeff, degree = 1, 0
+        tokens, ring, pk = self.tokens, self.ring, self.pk
+        units, index, limit = pk.units, ring._index, pk.limit
+        pos = self.pos
+        key, coeff, degree, p = 0, 1, 0, None
         while True:
-            f = self.factor()
-            if isinstance(f, tuple):
-                i, e = f
-                exps[i] += e
-                if coeff:
-                    degree += e
-                    _width_for(degree)
-            elif isinstance(f, Polynomial):
-                p = self.ring.monomial(exps, coeff) * f
-                while self.peek()[0] == "*":
-                    self.advance()
-                    p = p * self._polynomial(self.factor())
-                return p
+            tok = tokens[pos]
+            kind, text, at = tok
+            pos += 1
+            if kind == "name":
+                i = index.get(text)
+                if i is None:
+                    raise UnknownVariableError(f"unknown variable {text!r} (at position {at})")
+                e = 1
+                if tokens[pos][0] == "^":
+                    tok = tokens[pos + 1]
+                    pos += 2
+                    if tok[0] != "int":
+                        if tok[0] == "-":
+                            raise NegativeExponentError("negative exponent", tok[2])
+                        raise _expected("int", tok)
+                    e = _int(tok)
+                    if e >= DEGREE_LIMIT:
+                        _width_for(e)
+                if p is not None:
+                    power = ring.packer(_width_for(e))
+                    p = p * Polynomial._stored(ring, (power.units[i] * e,), (1,), 1, power)
+                else:
+                    key += units[i] * e
+                    if coeff:
+                        degree += e
+                        if degree >= limit:
+                            _width_for(degree)
+                            raise _Widen
+            elif kind == "int":
+                value = _int(tok)
+                if tokens[pos][0] == "/":
+                    tok = tokens[pos + 1]
+                    pos += 2
+                    if tok[0] != "int":
+                        raise _expected("int", tok)
+                    den = _int(tok)
+                    if den == 0:
+                        raise ParseError("zero denominator", tok[2])
+                    value = Fraction(value, den)
+                if p is not None:
+                    p = p * value
+                else:
+                    coeff *= value
+            elif kind == "(":
+                if p is None:
+                    p = ring.zero()
+                    if coeff:
+                        p = Polynomial._stored(
+                            ring, (key,), (coeff.numerator,), coeff.denominator, pk
+                        )
+                self.pos = pos
+                p = p * self.group(at)
+                pos = self.pos
             else:
-                coeff *= f
-            if self.peek()[0] != "*":
-                return tuple(exps), coeff
-            self.advance()
+                raise ParseError(f"expected a factor, found {text!r}", at)
+            if tokens[pos][0] != "*":
+                break
+            pos += 1
+        self.pos = pos
+        return (key, coeff) if p is None else p
 
-    def _polynomial(self, f):
-        """A factor as a Polynomial."""
-        if isinstance(f, tuple):
-            exps = [0] * self.ring.arity
-            exps[f[0]] = f[1]
-            return self.ring.monomial(exps)
-        return f if isinstance(f, Polynomial) else self.ring.constant(f)
-
-    def factor(self):
-        """A number, a variable power as (variable index, exponent), or a
-        parenthesised sum as a Polynomial."""
-        tok = self.advance()
-        kind, text, at = tok
-        if kind == "int":
-            value = _int(tok)
-            if self.peek()[0] == "/":
-                self.advance()
-                tok = self.expect("int")
-                den = _int(tok)
-                if den == 0:
-                    raise ParseError("zero denominator", tok[2])
-                value = Fraction(value, den)
-            return value
-        if kind == "name":
-            try:
-                i = self.ring.index(text)
-            except UnknownVariableError:
-                raise UnknownVariableError(
-                    f"unknown variable {text!r} (at position {at})"
-                ) from None
-            e = 1
-            if self.peek()[0] == "^":
-                self.advance()
-                nxt = self.peek()
-                if nxt[0] == "-":
-                    raise NegativeExponentError("negative exponent", nxt[2])
-                e = _int(self.expect("int"))
-                _width_for(e)
-            return i, e
-        if kind == "(":
-            if self.depth == NESTING_LIMIT:
-                raise ParseError(f"parentheses nested deeper than {NESTING_LIMIT}", at)
-            self.depth += 1
-            p = self.expr()
-            self.expect(")")
-            self.depth -= 1
-            return p
-        raise ParseError(f"expected a factor, found {text!r}", at)
+    def group(self, at):
+        """A parenthesised sum whose '(' at `at` was just read."""
+        if self.depth == NESTING_LIMIT:
+            raise ParseError(f"parentheses nested deeper than {NESTING_LIMIT}", at)
+        self.depth += 1
+        p = self.expr()
+        tok = self.tokens[self.pos]
+        if tok[0] != ")":
+            raise _expected(")", tok)
+        self.pos += 1
+        self.depth -= 1
+        return p
 
 
 def parse_poly(source, ring) -> Polynomial:
-    """Parse `source` into the canonical Polynomial of `ring`."""
-    return _Parser(source, ring).parse()
+    """Parse `source` into the canonical Polynomial of `ring`: at 8 bits,
+    and again at 16 when a term reaches degree 128."""
+    tokens = _tokenize(source)
+    try:
+        return _Parser(tokens, ring, FIELD_WIDTHS[0]).parse()
+    except _Widen:
+        return _Parser(tokens, ring, FIELD_WIDTHS[-1]).parse()

@@ -229,10 +229,13 @@ def load_scenario_file(path):
 
 
 def bundled_scenario_path(name):
-    """The packaged scenario file `name` (e6, e7), or None if there is none."""
+    """The packaged scenario file `name` (e6, e7), or None if there is none.
+    It is looked up under the package ``resint``: ``resint.data`` has no
+    ``__init__.py``, and resolving it as a namespace package costs more than
+    the lookup."""
     from importlib import resources
 
-    path = resources.files("resint.data").joinpath(f"{name}.scenario.json")
+    path = resources.files("resint") / "data" / f"{name}.scenario.json"
     return path if path.is_file() else None
 
 

@@ -836,6 +836,37 @@ def test_hilbert_numerator_rejects_nonhomogeneous():
         hilbert_numerator(Ideal(Ring(["x", "y"]), ["x^2 - y"]))
 
 
+def test_each_basis_computes_its_hilbert_numerator_once(monkeypatch):
+    # e6 asks for codim and K(t) of a_1, J22, J23 and J22 + J23 both; the
+    # basis keeps K(t), so its 10 requests cover 6 bases.
+    calls = [0]
+    numerator = groebner._monomial_numerator
+
+    def counted(mons, pk):
+        calls[0] += 1
+        return numerator(mons, pk)
+
+    seen = []
+
+    def recorded(fn):
+        def record(ideal):
+            value = fn(ideal)
+            seen.append((fn, ideal, value))
+            return value
+
+        return record
+
+    monkeypatch.setattr(groebner, "_monomial_numerator", counted)
+    monkeypatch.setattr(verify, "codim", recorded(codim))
+    monkeypatch.setattr(verify, "hilbert_numerator", recorded(hilbert_numerator))
+    report = verify.run_scenario(verify.load_scenario_file(verify.bundled_scenario_path("e6")))
+    assert all(c.verdict == "pass" for c in report.checks)
+    assert calls[0] == 6
+    assert len(seen) == 10
+    for fn, ideal, value in seen:
+        assert fn(Ideal(ideal.ring, ideal.generators)) == value
+
+
 # -- membership by a partial run ----------------------------------------------------
 
 # Two homogeneous binomials whose reduced grevlex basis has an element every

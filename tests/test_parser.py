@@ -26,6 +26,7 @@ def test_zero_literal():
 
 def test_unary_minus_at_head():
     assert parse_poly("-x + y", R) == parse_poly("y - x", R)
+    assert parse_poly("+x - y", R) == parse_poly("x - y", R)
     assert parse_poly("-(x - y)", R) == parse_poly("y - x", R)
 
 
@@ -237,22 +238,70 @@ def test_unknown_variable_keeps_message_and_position():
     assert str(exc.value) == "unknown variable 'w' (at position 4)"
 
 
-@pytest.mark.parametrize("source", ["0*x^20000*x^20000", "x*(0)*x^20000*x^20000"])
+@pytest.mark.parametrize(
+    "source", ["0*x^20000*x^20000", "x*(0)*x^20000*x^20000", "0*x^20000*x^20000*(x + 1)"]
+)
 def test_a_zero_product_refuses_no_degree(source):
     # A product with a zero factor is zero before its degree adds up.
     assert parse_poly(source, R).is_zero()
 
 
 def test_a_flat_sum_adds_no_polynomials(monkeypatch):
+    # Its terms go straight into packed keys: no Polynomial is added, and
+    # none is built from exponent tuples.
     source = "".join(f" {'+-'[i % 2]} {i % 7}*x^{i % 60}*y^{i // 60}" for i in range(3000))
-    calls = [0]
-    add = Polynomial.__add__
+    calls = {"add": 0, "init": 0}
+    add, init = Polynomial.__add__, Polynomial.__init__
 
-    def counted(self, other):
-        calls[0] += 1
+    def counted_add(self, other):
+        calls["add"] += 1
         return add(self, other)
 
-    monkeypatch.setattr(Polynomial, "__add__", counted)
+    def counted_init(self, ring, coeffs):
+        calls["init"] += 1
+        init(self, ring, coeffs)
+
+    monkeypatch.setattr(Polynomial, "__add__", counted_add)
+    monkeypatch.setattr(Polynomial, "__init__", counted_init)
     p = parse_poly(source, R)
-    assert calls[0] == 0
+    assert calls == {"add": 0, "init": 0}
     assert len(p.terms) == sum(1 for i in range(3000) if i % 7)
+
+
+_x, _y = R.var("x"), R.var("y")
+_half, _third, _sixth = (R.constant(Fraction(1, d)) for d in (2, 3, 6))
+
+
+@pytest.mark.parametrize(
+    "source, ref, width",
+    [
+        ("x^127*y", _x**127 * _y, 16),
+        ("x^200 - x^200 + y", _x**200 - _x**200 + _y, 8),
+        ("0*x^300 + y", R.constant(0) * _x**300 + _y, 8),
+        ("x^100*(x^30 + y)", _x**100 * (_x**30 + _y), 16),
+        ("x^130*y^130*(x + 1)", _x**130 * _y**130 * (_x + R.constant(1)), 16),
+        ("2*x*3*y^2*x", R.constant(2) * _x * R.constant(3) * _y**2 * _x, 8),
+        (
+            "1/2*x*y - 1/3*y^130 + 1/6*x*y",
+            _half * _x * _y - _third * _y**130 + _sixth * _x * _y,
+            16,
+        ),
+    ],
+    ids=[
+        "degree-128",
+        "cancels-to-8-bits",
+        "zero-product",
+        "crosses-in-parentheses",
+        "degree-130-before-parentheses",
+        "numbers-anywhere",
+        "fractions-at-16-bits",
+    ],
+)
+def test_packed_parse_at_the_width_edges(source, ref, width):
+    """A term of degree 128 reparses the sum at 16 bits, and the stored
+    form is the narrowest that holds what is left."""
+    p = parse_poly(source, R)
+    assert p == ref
+    stored = (p._keys, p._nums, p._den, p._packer.width)
+    assert stored == (ref._keys, ref._nums, ref._den, width)
+    assert ref._packer.width == width

@@ -323,6 +323,14 @@ def test_bundled_scenarios_pass_strict_schema(name, count, partial):
     assert all(c.expect is True and c.containment_only is partial for c in sc.checks)
 
 
+def test_bundled_scenario_path_finds_the_packaged_files():
+    for name in ("e6", "e7"):
+        path = verify.bundled_scenario_path(name)
+        assert path.is_file() and path.name == f"{name}.scenario.json"
+        assert path.read_bytes() == (resources.files("resint.data") / path.name).read_bytes()
+    assert verify.bundled_scenario_path("e8") is None
+
+
 @pytest.mark.parametrize(
     "doc",
     [
